@@ -144,7 +144,7 @@ func TestMergeSortedAllocFree(t *testing.T) {
 		}
 		fillRecorder(t, rec, benchFlows)
 		out := rec.Records()
-		netwide.SortByKey(out)
+		flow.SortByKey(out)
 		return out
 	}
 	views := []netwide.View{
@@ -166,6 +166,35 @@ func TestMergeSortedAllocFree(t *testing.T) {
 		dst = netwide.MergeMaxInto(dst[:0], views...)
 	}); allocs != 0 {
 		t.Errorf("MergeMaxInto allocates %.0f times per merge, want 0", allocs)
+	}
+}
+
+// TestSortByKeyAllocFree pins the shared sort behind the store writer,
+// shard export and detector: once its pooled scratch has grown to epoch
+// size, both sorts are allocation-free.
+func TestSortByKeyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
+		flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRecorder(t, rec, benchFlows)
+	recs := rec.Records()
+	if len(recs) < 1000 {
+		t.Fatalf("only %d records, too few to exercise the radix path", len(recs))
+	}
+	buf := make([]flow.Record, len(recs))
+	sortEpoch := func() {
+		copy(buf, recs)
+		flow.SortByKey(buf)
+		flow.SortByDst(buf)
+	}
+	sortEpoch()
+	if allocs := testing.AllocsPerRun(50, sortEpoch); allocs != 0 {
+		t.Errorf("SortByKey+SortByDst allocate %.0f times per epoch, want 0", allocs)
 	}
 }
 

@@ -7,6 +7,7 @@
 package apps
 
 import (
+	"slices"
 	"sort"
 
 	"repro/flow"
@@ -17,12 +18,7 @@ import (
 func TopTalkers(records []flow.Record, k int) []flow.Record {
 	out := make([]flow.Record, len(records))
 	copy(out, records)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return lessKey(out[i].Key, out[j].Key)
-	})
+	slices.SortFunc(out, flow.CompareByCount)
 	if k < len(out) {
 		out = out[:k]
 	}
@@ -38,12 +34,7 @@ func HeavyHitters(records []flow.Record, threshold uint32) []flow.Record {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return lessKey(out[i].Key, out[j].Key)
-	})
+	slices.SortFunc(out, flow.CompareByCount)
 	return out
 }
 
@@ -173,19 +164,4 @@ func TrafficMatrix(records []flow.Record, prefixLen int) []MatrixCell {
 		return out[i].DstPrefix < out[j].DstPrefix
 	})
 	return out
-}
-
-func lessKey(a, b flow.Key) bool {
-	switch {
-	case a.SrcIP != b.SrcIP:
-		return a.SrcIP < b.SrcIP
-	case a.DstIP != b.DstIP:
-		return a.DstIP < b.DstIP
-	case a.SrcPort != b.SrcPort:
-		return a.SrcPort < b.SrcPort
-	case a.DstPort != b.DstPort:
-		return a.DstPort < b.DstPort
-	default:
-		return a.Proto < b.Proto
-	}
 }

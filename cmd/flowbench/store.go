@@ -17,7 +17,6 @@ import (
 	"repro/collector"
 	"repro/flow"
 	"repro/flowmon"
-	"repro/netwide"
 	"repro/recordstore"
 )
 
@@ -72,7 +71,7 @@ func runStoreBench(cfg config, w io.Writer) error {
 		return err
 	}
 	records := rec.Records()
-	netwide.SortByKey(records)
+	flow.SortByKey(records)
 	epochs := 256
 	if cfg.quick {
 		epochs = 32

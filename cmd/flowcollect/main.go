@@ -70,7 +70,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -1073,7 +1073,7 @@ func runCollect(args []string, w io.Writer) error {
 	}
 
 	recs := col.FlowRecords()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Count > recs[j].Count })
+	slices.SortFunc(recs, flow.CompareByCount)
 	fmt.Fprintf(w, "collected %d flow records (%d lost)\n", len(recs), col.Lost())
 	for i, r := range recs {
 		if i >= *top {

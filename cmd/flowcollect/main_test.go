@@ -72,8 +72,27 @@ func TestExportCollectLoopback(t *testing.T) {
 		collectErr = run([]string{"collect", "-listen", port, "-idle", "500ms", "-top", "3"}, &collectOut)
 	}()
 
-	// Give the listener a moment to bind, then export.
+	// Give the listener a moment to bind, then export. Three flows tied
+	// at the top count go first, in descending key order: the summary
+	// must rank them by key.
 	time.Sleep(200 * time.Millisecond)
+	tied := []flow.Record{
+		{Key: flow.Key{SrcIP: 0x0a0000ff, DstIP: 1, Proto: 17}, Count: 1 << 30},
+		{Key: flow.Key{SrcIP: 0x0a000080, DstIP: 1, Proto: 17}, Count: 1 << 30},
+		{Key: flow.Key{SrcIP: 0x0a000001, DstIP: 1, Proto: 17}, Count: 1 << 30},
+	}
+	conn, err := net.Dial("udp", port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exp := netflow.NewExporter(func(b []byte) error {
+		_, err := conn.Write(b)
+		return err
+	})
+	if err := exp.Export(tied, 100); err != nil {
+		t.Fatal(err)
+	}
 	var exportOut bytes.Buffer
 	err = run([]string{"export", "-profile", "ISP2", "-flows", "500",
 		"-mem", "65536", "-to", port}, &exportOut)
@@ -89,6 +108,12 @@ func TestExportCollectLoopback(t *testing.T) {
 	}
 	if !strings.Contains(collectOut.String(), "collected") {
 		t.Errorf("collect output: %q", collectOut.String())
+	}
+	for i, r := range []flow.Record{tied[2], tied[1], tied[0]} {
+		line := fmt.Sprintf("%3d. %-45s %d pkts\n", i+1, r.Key, r.Count)
+		if !strings.Contains(collectOut.String(), line) {
+			t.Errorf("collect output lacks tied rank line %q:\n%s", line, collectOut.String())
+		}
 	}
 }
 

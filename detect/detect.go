@@ -548,8 +548,8 @@ func (d *Detector) Observe(epoch int, ts time.Time, records []flow.Record) []Ale
 	// order (or arbitrary order from other sinks); every downstream pass
 	// wants one key-sorted run with unique keys.
 	d.cur = append(d.cur[:0], records...)
-	netwide.SortByKey(d.cur)
-	d.cur = foldDuplicates(d.cur)
+	flow.SortByKey(d.cur)
+	d.cur = netwide.FoldSum(d.cur)
 
 	st := d.cfg.Stages
 	feats := extractFeatures(epoch, d.cur, st&StageAnomaly != 0)
@@ -744,15 +744,7 @@ func (d *Detector) detectForecast(epoch int, ts time.Time) {
 func (d *Detector) detectFanIn(epoch int, ts time.Time) {
 	threshold := d.cfg.FanInThreshold
 	d.byDst = append(d.byDst[:0], d.cur...)
-	slices.SortFunc(d.byDst, func(a, b flow.Record) int {
-		if a.Key.DstIP != b.Key.DstIP {
-			if a.Key.DstIP < b.Key.DstIP {
-				return -1
-			}
-			return 1
-		}
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	flow.SortByDst(d.byDst)
 	for start := 0; start < len(d.byDst); {
 		dst := d.byDst[start].Key.DstIP
 		end := start + 1
@@ -904,25 +896,6 @@ func extractFeatures(epoch int, recs []flow.Record, entropy bool) Features {
 		f.Entropy = h / math.Log2(float64(len(recs)))
 	}
 	return f
-}
-
-// foldDuplicates combines adjacent equal-key records of a key-sorted
-// slice (saturating), defending the walks against callers whose buffers
-// repeat keys (e.g. concatenated un-merged views).
-func foldDuplicates(recs []flow.Record) []flow.Record {
-	out := recs[:0]
-	for _, r := range recs {
-		if n := len(out); n > 0 && out[n-1].Key == r.Key {
-			s := out[n-1].Count + r.Count
-			if s < out[n-1].Count {
-				s = ^uint32(0)
-			}
-			out[n-1].Count = s
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // ring is a fixed-capacity FIFO over the last cap pushed values.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"time"
 
 	"repro/flowmon"
@@ -120,8 +119,8 @@ func run() error {
 		len(recs), epochs.Exported(), epochs.Epochs(), collector.Lost())
 
 	// Treat each epoch as a vantage point and build the merged view.
+	// MergeMax orders the merged view by count, largest first.
 	merged := netwide.MergeMax(netwide.View{Name: "epochs", Records: recs})
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Count > merged[j].Count })
 	fmt.Println("largest flows across epochs:")
 	for i, r := range merged {
 		if i >= 5 {

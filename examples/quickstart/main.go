@@ -5,8 +5,9 @@ package main
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
+	"repro/flow"
 	"repro/flowmon"
 	"repro/metrics"
 	"repro/trace"
@@ -56,7 +57,7 @@ func run() error {
 	fmt.Printf("size estimation ARE: %.3f\n", metrics.SizeARE(rec.EstimateSize, truth))
 	fmt.Printf("cardinality estimate: %.0f (true %d)\n", rec.EstimateCardinality(), truth.Flows())
 
-	sort.Slice(records, func(i, j int) bool { return records[i].Count > records[j].Count })
+	slices.SortFunc(records, flow.CompareByCount)
 	fmt.Println("top flows:")
 	for i, r := range records {
 		if i >= 5 {

@@ -107,8 +107,10 @@ type Record struct {
 
 // CompareKeys orders keys by their packed two-word encoding (Words) and
 // returns -1, 0 or +1. This is the canonical key order of the export
-// pipeline: shard chunks, recordstore epochs and netwide sorted-view
-// merges all sort by it, so they interoperate without re-sorting.
+// pipeline: shard chunks, recordstore epochs, netwide sorted-view merges
+// and the detector's walks all consume it, so they interoperate without
+// re-sorting. Sort record slices into it with SortByKey, and rank them
+// with CompareByCount, rather than with a local comparator.
 func CompareKeys(a, b Key) int {
 	a1, a2 := a.Words()
 	b1, b2 := b.Words()

@@ -1,6 +1,6 @@
 package flow
 
-import "sort"
+import "slices"
 
 // Truth accumulates exact per-flow packet counts and serves as the ground
 // truth against which approximate recorders are scored.
@@ -67,12 +67,7 @@ func (t *Truth) HeavyHitters(threshold uint32) []Key {
 // broken deterministically by key encoding so results are reproducible.
 func (t *Truth) TopK(k int) []Record {
 	recs := t.Records()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Count != recs[j].Count {
-			return recs[i].Count > recs[j].Count
-		}
-		return lessKey(recs[i].Key, recs[j].Key)
-	})
+	slices.SortFunc(recs, CompareByCount)
 	if k < len(recs) {
 		recs = recs[:k]
 	}
@@ -96,19 +91,4 @@ func (t *Truth) MeanCount() float64 {
 		return 0
 	}
 	return float64(t.pkts) / float64(len(t.counts))
-}
-
-func lessKey(a, b Key) bool {
-	switch {
-	case a.SrcIP != b.SrcIP:
-		return a.SrcIP < b.SrcIP
-	case a.DstIP != b.DstIP:
-		return a.DstIP < b.DstIP
-	case a.SrcPort != b.SrcPort:
-		return a.SrcPort < b.SrcPort
-	case a.DstPort != b.DstPort:
-		return a.DstPort < b.DstPort
-	default:
-		return a.Proto < b.Proto
-	}
 }

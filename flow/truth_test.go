@@ -119,19 +119,19 @@ func TestTruthObserveAll(t *testing.T) {
 	}
 }
 
-func TestLessKeyTotalOrder(t *testing.T) {
+func TestCompareKeysTotalOrder(t *testing.T) {
 	keys := []Key{
 		{SrcIP: 1}, {SrcIP: 2},
 		{SrcIP: 1, DstIP: 1}, {SrcIP: 1, SrcPort: 1},
 		{SrcIP: 1, DstPort: 1}, {SrcIP: 1, Proto: 1},
 	}
 	for _, a := range keys {
-		if lessKey(a, a) {
-			t.Errorf("lessKey(%v, %v) should be false", a, a)
+		if c := CompareKeys(a, a); c != 0 {
+			t.Errorf("CompareKeys(%v, %v) = %d, want 0", a, a, c)
 		}
 		for _, b := range keys {
-			if a != b && lessKey(a, b) == lessKey(b, a) {
-				t.Errorf("lessKey not antisymmetric for %v, %v", a, b)
+			if a != b && CompareKeys(a, b) != -CompareKeys(b, a) {
+				t.Errorf("CompareKeys not antisymmetric for %v, %v", a, b)
 			}
 		}
 	}

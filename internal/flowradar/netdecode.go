@@ -1,10 +1,6 @@
 package flowradar
 
-import (
-	"sort"
-
-	"repro/flow"
-)
+import "repro/flow"
 
 // Network-wide decoding (NetDecode, §4.2 of the FlowRadar paper): when a
 // switch's counting table is too loaded for standalone peeling, flow
@@ -60,14 +56,7 @@ func (fr *FlowRadar) DecodeWithHints(hints []flow.Record) ([]flow.Record, bool) 
 			accepted = append(accepted, r)
 		}
 	}
-	sort.Slice(accepted, func(i, j int) bool {
-		a1, a2 := accepted[i].Key.Words()
-		b1, b2 := accepted[j].Key.Words()
-		if a1 != b1 {
-			return a1 < b1
-		}
-		return a2 < b2
-	})
+	flow.SortByKey(accepted)
 
 	// Deficit decode: cell by cell, (hints mapping here) − (flows encoded
 	// here) forms a coded set containing exactly the accepted hints that

@@ -6,7 +6,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/flow"
 )
@@ -82,17 +82,7 @@ func TopKAccuracy(reported []flow.Record, truth *flow.Truth, k int) float64 {
 	for key, c := range best {
 		ranked = append(ranked, flow.Record{Key: key, Count: c})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Count != ranked[j].Count {
-			return ranked[i].Count > ranked[j].Count
-		}
-		wa, wb := ranked[i].Key.Words()
-		wc, wd := ranked[j].Key.Words()
-		if wa != wc {
-			return wa < wc
-		}
-		return wb < wd
-	})
+	slices.SortFunc(ranked, flow.CompareByCount)
 	if k < len(ranked) {
 		ranked = ranked[:k]
 	}

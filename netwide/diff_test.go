@@ -23,8 +23,8 @@ func TestDiffInto(t *testing.T) {
 		{Key: dkey(3), Count: 900}, // appears
 		{Key: dkey(6), Count: 12},
 	}
-	SortByKey(prev)
-	SortByKey(cur)
+	flow.SortByKey(prev)
+	flow.SortByKey(cur)
 
 	got := DiffInto(nil, prev, cur, 0)
 	want := []Delta{
@@ -80,8 +80,8 @@ func TestDiffIntoAllocFree(t *testing.T) {
 		prev = append(prev, flow.Record{Key: dkey(i), Count: uint32(100 + i)})
 		cur = append(cur, flow.Record{Key: dkey(i + 500), Count: uint32(90 + i)})
 	}
-	SortByKey(prev)
-	SortByKey(cur)
+	flow.SortByKey(prev)
+	flow.SortByKey(cur)
 	var dst []Delta
 	dst = DiffInto(dst[:0], prev, cur, 0)
 	if len(dst) == 0 {

@@ -24,7 +24,7 @@ func randomView(rng *rand.Rand, name string, n int) View {
 		seen[k] = true
 		recs = append(recs, flow.Record{Key: k, Count: 1 + rng.Uint32()%1000})
 	}
-	SortByKey(recs)
+	flow.SortByKey(recs)
 	return View{Name: name, Records: recs}
 }
 

@@ -11,7 +11,7 @@
 //     per-uplink load balancing), counts add.
 //
 // Both are implemented without maps: MergeMax/MergeSum gather all views
-// into one buffer, key-sort it with a typed sort and combine adjacent
+// into one buffer, key-sort it with flow.SortByKey and combine adjacent
 // duplicates in place. When the views are already key-sorted (the order
 // shard.Sharded exports per shard and recordstore persists), the Into
 // variants perform a direct k-way merge into a caller-supplied buffer with
@@ -65,7 +65,7 @@ func MergeSum(views ...View) []flow.Record {
 // adjacent duplicates in place with combine, and finally orders the merged
 // set by count for reporting. No maps: the sort-and-fold pass replaces the
 // seed's per-key map inserts and lets arbitrarily large views merge with
-// two typed sorts and one linear scan.
+// two sorts and one linear scan.
 func merge(views []View, combine func(old, add uint32) uint32) []flow.Record {
 	total := 0
 	for _, v := range views {
@@ -75,18 +75,17 @@ func merge(views []View, combine func(old, add uint32) uint32) []flow.Record {
 	for _, v := range views {
 		all = append(all, v.Records...)
 	}
-	SortByKey(all)
+	flow.SortByKey(all)
 	out := foldSorted(all, combine)
-	slices.SortFunc(out, func(a, b flow.Record) int {
-		if a.Count != b.Count {
-			if a.Count > b.Count {
-				return -1
-			}
-			return 1
-		}
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	slices.SortFunc(out, flow.CompareByCount)
 	return out
+}
+
+// FoldSum combines adjacent equal-key records of a key-sorted slice in
+// place, summing their counts (saturating) as MergeSum does, and returns
+// the shortened slice.
+func FoldSum(recs []flow.Record) []flow.Record {
+	return foldSorted(recs, combineSum)
 }
 
 // foldSorted combines adjacent equal-key records of a key-sorted slice in
@@ -112,7 +111,7 @@ func MergeMaxInto(dst []flow.Record, views ...View) []flow.Record {
 // MergeSumInto k-way merges key-sorted views into dst summing per-flow
 // counts (saturating), appending the merged records in key order and
 // returning the extended slice. Every view's Records must already be
-// sorted by packed key (SortByKey order) — shard.Sharded exports each
+// sorted by packed key (flow.SortByKey order) — shard.Sharded exports each
 // shard's chunk and recordstore stores each epoch exactly so. dst is
 // reused across calls by the epoch pipeline, making steady-state
 // network-wide aggregation allocation-free.
@@ -180,7 +179,7 @@ func (d Delta) Abs() uint32 {
 
 // DiffInto appends to dst one Delta per key whose count differs by at
 // least minAbs between prev and cur, and returns the extended slice.
-// Both inputs must be key-sorted (SortByKey order) with each key
+// Both inputs must be key-sorted (flow.SortByKey order) with each key
 // appearing at most once — the order epochs drain and persist in — so
 // the diff is a single two-cursor walk: epoch-over-epoch change
 // extraction with zero steady-state allocations when dst is reused.
@@ -223,8 +222,8 @@ func DiffInto(dst []Delta, prev, cur []flow.Record, minAbs uint32) []Delta {
 type DeltaView struct {
 	// Name identifies the vantage point.
 	Name string
-	// Deltas must be sorted by packed key (SortByKey order) with each key
-	// appearing at most once.
+	// Deltas must be sorted by packed key (flow.CompareKeys order) with
+	// each key appearing at most once.
 	Deltas []Delta
 }
 
@@ -310,15 +309,6 @@ func MergeDeltasInto(dst []CorrelatedDelta, minAlert uint32, views ...DeltaView)
 // precondition (ChangeSummary lists arrive ordered by |delta|, not key).
 func SortDeltasByKey(deltas []Delta) {
 	slices.SortFunc(deltas, func(a, b Delta) int {
-		return flow.CompareKeys(a.Key, b.Key)
-	})
-}
-
-// SortByKey orders records by their packed two-word key encoding
-// (flow.CompareKeys), the precondition of the Into merges and the order
-// recordstore persists.
-func SortByKey(recs []flow.Record) {
-	slices.SortFunc(recs, func(a, b flow.Record) int {
 		return flow.CompareKeys(a.Key, b.Key)
 	})
 }

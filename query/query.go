@@ -590,15 +590,7 @@ func (h *handler) openStore(w http.ResponseWriter, v apiVersion) (src recordstor
 // selectTopK reorders recs by count descending (key tiebreak) in place
 // and returns the first k.
 func selectTopK(recs []flow.Record, k int) []flow.Record {
-	slices.SortFunc(recs, func(a, b flow.Record) int {
-		if a.Count != b.Count {
-			if a.Count > b.Count {
-				return -1
-			}
-			return 1
-		}
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	slices.SortFunc(recs, flow.CompareByCount)
 	if k < len(recs) {
 		recs = recs[:k]
 	}

@@ -24,7 +24,7 @@ func NewStatic(recs []flow.Record) *Static {
 		byKey:   append([]flow.Record(nil), recs...),
 	}
 	selectTopK(s.byCount, len(s.byCount))
-	netwide.SortByKey(s.byKey)
+	flow.SortByKey(s.byKey)
 	return s
 }
 

@@ -145,7 +145,8 @@ func (sw *SegmentWriter) SetBlockEpochs(n int) {
 }
 
 // Add appends one epoch to the segment. Epoch timestamps must be
-// non-decreasing across Add calls.
+// non-decreasing across Add calls and each epoch's records sorted by
+// packed key; a violation fails the writer.
 func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 	if sw.err != nil {
 		return sw.err
@@ -185,7 +186,13 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 	// split into two streams.
 	keysStart, countsStart := len(sw.keys), len(sw.counts)
 	var prev1, prev2 uint64
-	for _, r := range ep.Records {
+	for i, r := range ep.Records {
+		// Deltas of descending keys would wrap and decode silently into
+		// a store the sorted-view merges misread. Equal keys are allowed:
+		// the hot Writer does not fold duplicates either.
+		if i > 0 && flow.CompareKeys(ep.Records[i-1].Key, r.Key) > 0 {
+			return sw.fail(fmt.Errorf("recordstore: segment epoch records out of key order at record %d", i))
+		}
 		w1, w2 := r.Key.Words()
 		sw.keys = binary.AppendUvarint(sw.keys, w1-prev1)
 		sw.keys = binary.AppendUvarint(sw.keys, w2^prev2)

@@ -394,6 +394,47 @@ func TestSegmentRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// TestSegmentRejectsDescendingKeys: an epoch whose records are not in
+// packed-key order is refused at write time, and the writer stays failed,
+// instead of encoding wrapped deltas that decode without error.
+func TestSegmentRejectsDescendingKeys(t *testing.T) {
+	recs := sortedEpoch(0, 100)
+	slices.Reverse(recs)
+	var buf bytes.Buffer
+	sw := NewSegmentWriter(&buf, SegmentCold)
+	if err := sw.Add(SegmentEpoch{Time: time.Unix(100, 0), Records: recs}); err == nil {
+		t.Fatal("descending epoch accepted")
+	}
+	if err := sw.Close(); err == nil {
+		t.Fatal("Close succeeded after a refused epoch")
+	}
+}
+
+// TestSegmentAcceptsEqualKeys: adjacent equal keys are in order (the hot
+// Writer stores unfolded duplicates) and round-trip unchanged.
+func TestSegmentAcceptsEqualKeys(t *testing.T) {
+	k := flow.Key{SrcIP: 1, DstIP: 2, DstPort: 80, Proto: 6}
+	recs := []flow.Record{
+		{Key: flow.Key{SrcIP: 1}, Count: 1},
+		{Key: k, Count: 3},
+		{Key: k, Count: 5},
+		{Key: flow.Key{SrcIP: 9}, Count: 2},
+	}
+	data := buildSegment(t, SegmentCold, 0, []time.Time{time.Unix(100, 0)}, [][]flow.Record{recs})
+	seg, err := OpenSegmentBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	ep, err := seg.AppendEpochAt(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ep.Records, recs) {
+		t.Fatalf("decoded %v, want %v", ep.Records, recs)
+	}
+}
+
 // TestOpenAutoDetect: Open returns a flat mapped source for a file and a
 // tiered source for a directory, both through EpochSource.
 func TestOpenAutoDetect(t *testing.T) {

@@ -47,11 +47,9 @@ type Writer struct {
 	w       *bufio.Writer
 	started bool
 	epochs  uint64
-	scratch []packedRec
-	alt     []packedRec // radix-sort ping-pong buffer
+	scratch []flow.Record
 	buf     []byte
 	lenBuf  [binary.MaxVarintLen64]byte // framing scratch: a local would escape into w.w.Write
-	counts  [radixPasses][256]uint32
 
 	// Durability policy (see durable.go); zero means never sync.
 	syncer      Syncer
@@ -62,13 +60,6 @@ type Writer struct {
 
 	// Optional write-side instruments (see metrics.go); nil-safe.
 	metrics *Metrics
-}
-
-// packedRec is a record pre-packed into its two key words, the form both
-// the sort comparisons and the delta encoder consume.
-type packedRec struct {
-	w1, w2 uint64
-	count  uint32
 }
 
 // NewWriter wraps w. The file header is written on the first epoch (or by
@@ -95,13 +86,9 @@ func (w *Writer) WriteEpoch(ts time.Time, records []flow.Record) error {
 			return fmt.Errorf("recordstore: write header: %w", err)
 		}
 	}
-	// Pack a scratch copy into key words and sort it for delta encoding.
-	w.scratch = slices.Grow(w.scratch[:0], len(records))
-	for _, r := range records {
-		w1, w2 := r.Key.Words()
-		w.scratch = append(w.scratch, packedRec{w1: w1, w2: w2, count: r.Count})
-	}
-	w.sortScratch()
+	// Sort a scratch copy by key for delta encoding.
+	w.scratch = append(w.scratch[:0], records...)
+	flow.SortByKey(w.scratch)
 
 	w.buf = w.buf[:0]
 	w.buf = binary.AppendUvarint(w.buf, uint64(ts.UnixNano()))
@@ -112,10 +99,11 @@ func (w *Writer) WriteEpoch(ts time.Time, records []flow.Record) error {
 		// adjacent prefixes; w2 is sent raw when w1 repeats, delta-coded
 		// by XOR otherwise (XOR of similar words has many leading zeros
 		// in neither — simply send varint of w2 ^ prev2).
-		w.buf = binary.AppendUvarint(w.buf, r.w1-prev1)
-		w.buf = binary.AppendUvarint(w.buf, r.w2^prev2)
-		w.buf = binary.AppendUvarint(w.buf, uint64(r.count))
-		prev1, prev2 = r.w1, r.w2
+		w1, w2 := r.Key.Words()
+		w.buf = binary.AppendUvarint(w.buf, w1-prev1)
+		w.buf = binary.AppendUvarint(w.buf, w2^prev2)
+		w.buf = binary.AppendUvarint(w.buf, uint64(r.Count))
+		prev1, prev2 = w1, w2
 	}
 	n := binary.PutUvarint(w.lenBuf[:], uint64(len(w.buf)))
 	if _, err := w.w.Write(w.lenBuf[:n]); err != nil {
@@ -130,93 +118,6 @@ func (w *Writer) WriteEpoch(ts time.Time, records []flow.Record) error {
 		m.BytesWritten.Add(uint64(n + len(w.buf)))
 	}
 	return w.maybeSync()
-}
-
-// radixPasses is one pass per significant byte of the packed 104-bit key:
-// five bytes of w2 (ports and protocol) then eight bytes of w1 (addresses),
-// least significant first.
-const radixPasses = 13
-
-// radixMinLen is the epoch size below which the O(n log n) comparison sort
-// beats the 13-pass distribution sort's fixed cost.
-const radixMinLen = 192
-
-// sortScratch orders the packed scratch records by key (w1, then w2).
-// Small epochs take a typed comparison sort; larger ones an LSD radix sort
-// over the 13 significant key bytes, skipping passes whose byte is uniform
-// across the epoch (ubiquitous for the protocol byte and common port
-// prefixes). Both paths sort without allocating beyond the Writer's
-// reusable ping-pong buffer.
-func (w *Writer) sortScratch() {
-	n := len(w.scratch)
-	if n < radixMinLen {
-		slices.SortFunc(w.scratch, func(a, b packedRec) int {
-			switch {
-			case a.w1 != b.w1:
-				if a.w1 < b.w1 {
-					return -1
-				}
-				return 1
-			case a.w2 != b.w2:
-				if a.w2 < b.w2 {
-					return -1
-				}
-				return 1
-			default:
-				return 0
-			}
-		})
-		return
-	}
-
-	// One scan fills the histograms of every pass. (Cleared with a loop:
-	// assigning a 13KB composite literal materializes it on the heap.)
-	for p := range w.counts {
-		clear(w.counts[p][:])
-	}
-	for _, r := range w.scratch {
-		for p := 0; p < 5; p++ {
-			w.counts[p][byte(r.w2>>(8*p))]++
-		}
-		for p := 0; p < 8; p++ {
-			w.counts[5+p][byte(r.w1>>(8*p))]++
-		}
-	}
-
-	w.alt = slices.Grow(w.alt[:0], n)[:n]
-	src, dst := w.scratch, w.alt
-	for p := 0; p < radixPasses; p++ {
-		c := &w.counts[p]
-		// Uniform byte → the pass is the identity permutation; skip it.
-		if c[radixByte(src[0], p)] == uint32(n) {
-			continue
-		}
-		// Histogram → starting offsets.
-		var sum uint32
-		for b := 0; b < 256; b++ {
-			cnt := c[b]
-			c[b] = sum
-			sum += cnt
-		}
-		for _, r := range src {
-			b := radixByte(r, p)
-			dst[c[b]] = r
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &w.scratch[0] {
-		copy(w.scratch, src)
-	}
-}
-
-// radixByte extracts the pass'th least significant key byte: w2 carries the
-// low five bytes (40 significant bits), w1 the upper eight.
-func radixByte(r packedRec, pass int) byte {
-	if pass < 5 {
-		return byte(r.w2 >> (8 * uint(pass)))
-	}
-	return byte(r.w1 >> (8 * uint(pass-5)))
 }
 
 // Epochs returns how many epochs were written.
@@ -374,16 +275,6 @@ func (r *Reader) ReadAll() ([]Epoch, error) {
 		}
 		out = append(out, ep)
 	}
-}
-
-// lessWords orders keys by their packed two-word encoding.
-func lessWords(a, b flow.Key) bool {
-	a1, a2 := a.Words()
-	b1, b2 := b.Words()
-	if a1 != b1 {
-		return a1 < b1
-	}
-	return a2 < b2
 }
 
 // keyFromWords inverts flow.Key.Words. The packing leaves bits 40..63 of

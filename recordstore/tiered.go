@@ -724,28 +724,9 @@ func buildRollup(seg *Segment, k int) (SegmentEpoch, error) {
 	}
 	merged := netwide.MergeSumInto(nil, views...)
 	if len(merged) > k {
-		slices.SortFunc(merged, func(a, b flow.Record) int {
-			if a.Count != b.Count {
-				if a.Count > b.Count {
-					return -1
-				}
-				return 1
-			}
-			if lessWords(a.Key, b.Key) {
-				return -1
-			}
-			return 1
-		})
+		slices.SortFunc(merged, flow.CompareByCount)
 		merged = merged[:k]
-		slices.SortFunc(merged, func(a, b flow.Record) int {
-			if a.Key == b.Key {
-				return 0
-			}
-			if lessWords(a.Key, b.Key) {
-				return -1
-			}
-			return 1
-		})
+		flow.SortByKey(merged)
 	}
 	var first time.Time
 	if seg.Epochs() > 0 {

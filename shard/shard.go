@@ -522,24 +522,16 @@ func (s *Sharded) exportWorker() {
 }
 
 // exportShard extracts one shard's records into its reused chunk buffer
-// and sorts the chunk by packed flow key for deterministic output.
+// and sorts the chunk by packed flow key for deterministic output. Keys
+// are unique within a shard (routing sends a flow to exactly one shard
+// and recorders report each key once), so the order is a pure function
+// of the record set.
 func (s *Sharded) exportShard(i int) {
 	slot := &s.shards[i]
 	slot.mu.Lock()
 	s.export.bufs[i] = slot.rec.AppendRecords(s.export.bufs[i][:0])
 	slot.mu.Unlock()
-	sortByKey(s.export.bufs[i])
-}
-
-// sortByKey orders a shard's chunk by the canonical packed-key order
-// (flow.CompareKeys). Keys are unique within a shard — routing sends a
-// flow to exactly one shard and recorders report each key once — so no
-// tiebreak is needed for the order to be a pure function of the record
-// set.
-func sortByKey(recs []flow.Record) {
-	slices.SortFunc(recs, func(a, b flow.Record) int {
-		return flow.CompareKeys(a.Key, b.Key)
-	})
+	flow.SortByKey(s.export.bufs[i])
 }
 
 // EstimateSize routes the query to the owning shard, after an ingestion

@@ -9,6 +9,7 @@ package topk
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/flow"
@@ -107,7 +108,7 @@ func (s *Set) AppendTopK(dst []flow.Record, k int) []flow.Record {
 	s.snapshotLocked()
 	// The merge leaves s.merged key-sorted; reorder the scratch by count
 	// for selection. AppendSorted re-sorts it next time.
-	sortCountDesc(s.merged)
+	slices.SortFunc(s.merged, flow.CompareByCount)
 	if k > len(s.merged) {
 		k = len(s.merged)
 	}

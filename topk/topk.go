@@ -417,7 +417,7 @@ func (t *Tracker) AppendTopK(dst []flow.Record, k int) []flow.Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fillScratch()
-	slices.SortFunc(t.scratch, compareCountDesc)
+	slices.SortFunc(t.scratch, flow.CompareByCount)
 	if k > len(t.scratch) {
 		k = len(t.scratch)
 	}
@@ -431,7 +431,7 @@ func (t *Tracker) AppendSorted(dst []flow.Record) []flow.Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fillScratch()
-	slices.SortFunc(t.scratch, compareKeyAsc)
+	flow.SortByKey(t.scratch)
 	return append(dst, t.scratch...)
 }
 
@@ -441,28 +441,6 @@ func (t *Tracker) fillScratch() {
 	for i := range t.entries {
 		t.scratch = append(t.scratch, flow.Record{Key: t.entries[i].key, Count: t.entries[i].count})
 	}
-}
-
-// compareCountDesc orders records by count descending, packed key order
-// breaking ties (the reporting order of netwide merges and apps.TopTalkers).
-func compareCountDesc(a, b flow.Record) int {
-	if a.Count != b.Count {
-		if a.Count > b.Count {
-			return -1
-		}
-		return 1
-	}
-	return flow.CompareKeys(a.Key, b.Key)
-}
-
-// compareKeyAsc orders records by packed key.
-func compareKeyAsc(a, b flow.Record) int {
-	return flow.CompareKeys(a.Key, b.Key)
-}
-
-// sortCountDesc orders records by count descending with key tiebreak.
-func sortCountDesc(recs []flow.Record) {
-	slices.SortFunc(recs, compareCountDesc)
 }
 
 // Reset clears the tracker for the next epoch. The capacity and the

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"repro/flow"
 	"repro/internal/fenwick"
@@ -135,17 +135,7 @@ func FromPackets(p Profile, pkts []flow.Packet) *Trace {
 		t.totalPkts += uint64(c)
 	}
 	// Keep the descending-size invariant Generate establishes.
-	sort.Slice(t.Flows, func(i, j int) bool {
-		if t.Flows[i].Count != t.Flows[j].Count {
-			return t.Flows[i].Count > t.Flows[j].Count
-		}
-		a, b := t.Flows[i].Key.Words()
-		c2, d := t.Flows[j].Key.Words()
-		if a != c2 {
-			return a < c2
-		}
-		return b < d
-	})
+	slices.SortFunc(t.Flows, flow.CompareByCount)
 	return t
 }
 
