@@ -19,15 +19,6 @@ import (
 	"repro/telemetry"
 )
 
-// Sidecar is an auxiliary per-epoch structure that rotates with the
-// recorder — an online summary (topk.Set, topk.Tracker) the manager clears
-// at every epoch boundary. In double-buffered mode each recorder travels
-// with its own sidecar: the pair swaps at rotation and the drained
-// sidecar is reset by the flush worker, off the hot path.
-type Sidecar interface {
-	Reset()
-}
-
 // FlushFunc receives the records of a completed epoch. The recorder is
 // reset after the callback returns. The records slice is owned by the
 // manager and reused for the next epoch: callbacks must not retain it
@@ -91,11 +82,6 @@ type Manager struct {
 	// Single-buffer mode reuses one export buffer across epochs.
 	buf []flow.Record
 
-	// sc is the sidecar paired with the live recorder (nil when unset);
-	// live publishes it for queries from other goroutines.
-	sc   Sidecar
-	live atomic.Pointer[Sidecar]
-
 	// dets observe drained epochs, in attach order (empty when unset).
 	// drainErr records the first panic recovered on the drain path;
 	// drainPanics counts them.
@@ -112,25 +98,13 @@ type Manager struct {
 	spanHook   func(StageSpan)
 
 	// Double-buffered mode: the standby channel holds the reset recorder
-	// (with its sidecar) ready for the next swap, jobs carries full
-	// recorders to the flush worker (capacity 1: at most one epoch drains
-	// behind the live one).
-	standby chan buffer
-	jobs    chan flushJob
+	// ready for the next swap, jobs carries full recorders to the flush
+	// worker in epoch order (capacity 1: at most one epoch drains behind
+	// the live one).
+	standby chan flowmon.Recorder
+	jobs    chan flowmon.Recorder
 	done    chan struct{}
 	closed  bool
-}
-
-// buffer pairs a recorder with the sidecar that rotates alongside it.
-type buffer struct {
-	rec flowmon.Recorder
-	sc  Sidecar
-}
-
-// flushJob is one completed epoch travelling to the flush worker.
-type flushJob struct {
-	epoch int
-	buf   buffer
 }
 
 // NewManager wraps rec. flush may be nil if the caller only needs the
@@ -164,49 +138,12 @@ func NewDoubleBuffered(active, standby flowmon.Recorder, cfg Config, flush Flush
 	if err != nil {
 		return nil, err
 	}
-	m.standby = make(chan buffer, 1)
-	m.standby <- buffer{rec: standby}
-	m.jobs = make(chan flushJob, 1)
+	m.standby = make(chan flowmon.Recorder, 1)
+	m.standby <- standby
+	m.jobs = make(chan flowmon.Recorder, 1)
 	m.done = make(chan struct{})
 	go m.flushWorker()
 	return m, nil
-}
-
-// AttachSidecar pairs the live recorder with a sidecar reset at every
-// epoch boundary (single-buffer mode, or the live half before the first
-// rotation). For double-buffered managers use AttachSidecars so both
-// halves rotate. Call before ingestion begins.
-func (m *Manager) AttachSidecar(sc Sidecar) error {
-	if sc == nil {
-		return fmt.Errorf("adaptive: nil sidecar")
-	}
-	if m.jobs != nil {
-		return fmt.Errorf("adaptive: double-buffered manager needs AttachSidecars")
-	}
-	m.sc = sc
-	m.live.Store(&sc)
-	return nil
-}
-
-// AttachSidecars pairs each half of a double-buffered manager with a
-// sidecar: active rides the recorder currently filling, standby rides the
-// spare. At every rotation the pair swaps with its recorder and the
-// drained sidecar is reset by the flush worker after the epoch's records
-// are extracted. Call before ingestion begins (the standby half must
-// still be parked, i.e. no rotation may be in flight).
-func (m *Manager) AttachSidecars(active, standby Sidecar) error {
-	if active == nil || standby == nil {
-		return fmt.Errorf("adaptive: nil sidecar")
-	}
-	if m.jobs == nil {
-		return fmt.Errorf("adaptive: AttachSidecars needs a double-buffered manager")
-	}
-	b := <-m.standby
-	b.sc = standby
-	m.standby <- b
-	m.sc = active
-	m.live.Store(&active)
-	return nil
 }
 
 // AttachDetector registers an observer for every drained epoch,
@@ -292,36 +229,27 @@ func (m *Manager) SetSpanHook(fn func(StageSpan)) {
 	}
 }
 
-// Sidecar returns the sidecar paired with the recorder currently filling,
-// or nil if none is attached. Safe from any goroutine: the query daemon
-// reads the live summary through it while ingestion rotates underneath.
-func (m *Manager) Sidecar() Sidecar {
-	p := m.live.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
-
 // flushWorker drains completed epochs: extract into a reused buffer, run
-// the callback and the detector, reset the recorder (and its sidecar) and
-// return the pair as the next standby. Every stage is panic-isolated: a
+// the callback and the detector, reset the recorder and return it as the
+// next standby. Every stage is panic-isolated: a
 // faulty callback, detector or reset marks DrainErr but the buffer always
 // re-enters rotation, so one bad epoch can neither kill the worker (which
 // would wedge the next Flush forever) nor drop the epochs behind it.
 func (m *Manager) flushWorker() {
 	defer close(m.done)
 	var buf []flow.Record
-	for job := range m.jobs {
-		m.drain(job.epoch, job.buf, &buf)
-		m.standby <- job.buf
+	epoch := 0 // every rotation queues exactly one job, so jobs count epochs
+	for rec := range m.jobs {
+		m.drain(epoch, rec, &buf)
+		m.standby <- rec
+		epoch++
 	}
 }
 
 // drain processes one completed epoch on the worker. Stage timing runs
 // when either metrics or a span hook is attached — histograms are nil-safe,
 // so one clock pair per stage serves both consumers.
-func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
+func (m *Manager) drain(epoch int, rec flowmon.Recorder, buf *[]flow.Record) {
 	mm := m.metrics
 	timing := mm != nil || m.spanHook != nil
 	sp := StageSpan{Epoch: epoch}
@@ -342,7 +270,7 @@ func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
 	}
 	if m.flush != nil || len(m.dets) > 0 {
 		extracted := stage(extractNs, &sp.ExtractNs, "extraction", func() {
-			*buf = b.rec.AppendRecords((*buf)[:0])
+			*buf = rec.AppendRecords((*buf)[:0])
 		})
 		if extracted {
 			sp.Records = len(*buf)
@@ -358,21 +286,7 @@ func (m *Manager) drain(epoch int, b buffer, buf *[]flow.Record) {
 			}
 		}
 	}
-	// Recorder and sidecar reset share one timing window so the ResetNs
-	// histogram keeps its one-observation-per-epoch shape.
-	var resetStart time.Time
-	if timing {
-		resetStart = time.Now()
-	}
-	m.safely("recorder reset", b.rec.Reset)
-	if b.sc != nil {
-		m.safely("sidecar reset", b.sc.Reset)
-	}
-	if timing {
-		d := time.Since(resetStart)
-		resetNs.ObserveDuration(d)
-		sp.ResetNs = d.Nanoseconds()
-	}
+	stage(resetNs, &sp.ResetNs, "recorder reset", rec.Reset)
 	if mm != nil {
 		mm.Epochs.Inc()
 	}
@@ -421,14 +335,9 @@ func (m *Manager) Flush() {
 		if m.metrics != nil {
 			stallStart = time.Now()
 		}
-		full := buffer{rec: m.rec, sc: m.sc}
-		next := <-m.standby
-		m.rec, m.sc = next.rec, next.sc
-		if m.sc != nil {
-			sc := m.sc
-			m.live.Store(&sc)
-		}
-		m.jobs <- flushJob{epoch: m.epoch, buf: full}
+		full := m.rec
+		m.rec = <-m.standby
+		m.jobs <- full
 		if mm := m.metrics; mm != nil {
 			mm.RotationStallNs.ObserveDuration(time.Since(stallStart))
 		}
@@ -445,9 +354,6 @@ func (m *Manager) Flush() {
 			}
 		}
 		m.rec.Reset()
-		if m.sc != nil {
-			m.sc.Reset()
-		}
 		if mm := m.metrics; mm != nil {
 			mm.Epochs.Inc()
 		}

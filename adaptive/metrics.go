@@ -21,7 +21,7 @@ type Metrics struct {
 	RotationStallNs *telemetry.Histogram
 	// ExtractNs, FlushCbNs, ResetNs time the drain stages: record
 	// extraction, the flush callback (store write, NetFlow export),
-	// and the recorder+sidecar reset.
+	// and the recorder reset.
 	ExtractNs *telemetry.Histogram
 	FlushCbNs *telemetry.Histogram
 	ResetNs   *telemetry.Histogram

@@ -13,14 +13,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/collector"
 	"repro/detect"
 	"repro/flow"
 	"repro/netflow"
+	"repro/pipeline"
 	"repro/query"
 	"repro/recordstore"
 	"repro/telemetry"
@@ -227,22 +226,23 @@ func (failWriter) Write([]byte) (int, error) {
 	return 0, io.ErrClosedPipe
 }
 
+// writerStore adapts a stream Writer to the pipeline's Store surface.
+type writerStore struct{ *recordstore.Writer }
+
+func (writerStore) Close() error { return nil }
+
 // TestServeHealthDegradedTransition pins the /healthz contract: healthy
 // reports "ok", a sticky store-write error flips the status to "degraded"
 // with the error surfaced — and the endpoint still answers 200, because a
 // degraded collector is still serving.
 func TestServeHealthDegradedTransition(t *testing.T) {
-	var (
-		epochs  atomic.Uint64
-		lastErr atomic.Pointer[string]
-	)
-	setLastErr := func(err error) {
-		msg := err.Error()
-		lastErr.Store(&msg)
-	}
-	store := collector.NewEpochStore(recordstore.NewWriter(failWriter{}))
-	health := serveHealth(time.Now(), &epochs, store, &lastErr, setLastErr,
-		&telemetry.StoreHealth{Path: "x.frec", State: "created"}, nil)
+	pl := pipeline.New(pipeline.Config{
+		Vantage: "live",
+		Store:   writerStore{recordstore.NewWriter(failWriter{})}, StorePath: "x.frec",
+		Recovery: recordstore.Recovery{Created: true},
+		Logger:   slog.New(events.NewLogHandler(io.Discard, nil, "live")),
+	})
+	health := pl.Health
 
 	mux := http.NewServeMux()
 	telemetry.Ops{Registry: telemetry.NewRegistry(), Health: health}.Register(mux)
@@ -269,9 +269,7 @@ func TestServeHealthDegradedTransition(t *testing.T) {
 	}
 
 	// One epoch through the failing writer makes the store error sticky.
-	store.Sink(time.Now(), []flow.Record{{Key: flow.Key{SrcIP: 1}, Count: 1}})
-	_ = store.Flush()
-	epochs.Add(1)
+	pl.Sink(time.Now(), []flow.Record{{Key: flow.Key{SrcIP: 1}, Count: 1}})
 
 	code, h = get()
 	if code != http.StatusOK {

@@ -14,7 +14,10 @@
 //	flowcollect collect -listen 127.0.0.1:2055 -idle 3s
 //
 // Serve mode runs a persistent collector that writes each quiet-gap
-// delimited epoch to a record store file (query it with flowquery). With
+// delimited epoch to a record store file (query it with flowquery). Every
+// closed epoch goes through one repro/pipeline Pipeline — live top-k,
+// store write and flush, detection, checkpoint, in that order — which
+// also owns checkpoint restore, /healthz and the ordered shutdown. With
 // -http it also serves the live query API: /topk straight from an online
 // tracker fed per epoch, /epochs and /flows from the growing store file.
 // With -detect each epoch additionally runs through the detection
@@ -58,7 +61,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -83,6 +85,7 @@ import (
 	"repro/flowmon"
 	"repro/netflow"
 	"repro/pcapio"
+	"repro/pipeline"
 	"repro/query"
 	"repro/recordstore"
 	"repro/telemetry"
@@ -128,18 +131,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// storeHandle is the writer surface serve mode needs from either store
-// shape: a flat append-only file (recordstore.FileWriter) or a tiered
-// directory with compaction and retention (recordstore.Tiered).
-type storeHandle interface {
-	recordstore.EpochWriter
-	Sync() error
-	Close() error
-	Fsyncs() uint64
-	LastFsyncNs() int64
-	SetMetrics(*recordstore.Metrics)
-}
-
 func runServe(args []string, w io.Writer) error {
 	w = &syncWriter{w: w}
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -156,10 +147,7 @@ func runServe(args []string, w io.Writer) error {
 	httpAddr := fs.String("http", "", "also serve the live query API on this address")
 	topkCap := fs.Int("topk", 4096, "live top-k tracker capacity (with -http)")
 	det := fs.Bool("detect", false, "run detection (heavy change, forecast, superspreader, victim fan-in, anomaly) on every epoch")
-	fanout := fs.Int("fanout", 128, "superspreader distinct-destination threshold (with -detect)")
-	fanin := fs.Int("fanin", 128, "victim fan-in distinct-source threshold (with -detect)")
-	minDelta := fs.Uint64("changedelta", 1024, "heavy-change per-flow delta threshold (with -detect)")
-	forecast := fs.Float64("forecast", 1024, "forecast CUSUM drift threshold in packets (with -detect)")
+	detectConfig := pipeline.DetectFlags(fs)
 	alerts := fs.Bool("alerts", false, "print alerts to stdout (with -detect)")
 	webhook := fs.String("webhook", "", "POST each epoch's alerts as JSON to this URL (with -detect)")
 	fsyncPol := fs.String("fsync", "off", "store durability policy: off, epoch, or a sync interval like 2s")
@@ -197,160 +185,38 @@ func runServe(args []string, w io.Writer) error {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
 
-	// The process-wide instrument registry behind /metrics, plus the
-	// last-error snapshot /healthz reports. Both exist even without
-	// -http: the instruments are cheap and the wiring stays uniform.
+	// The process-wide instrument registry behind /metrics, and the
+	// pipeline event layer: every operational log line, epoch span, alert
+	// and degradation lands on one bus (served as SSE on /events), and the
+	// tracer keeps the last epochs' stage timelines for /trace/epochs. The
+	// logger mirrors each line onto the bus, so stdout, the stream and the
+	// traces agree.
 	reg := telemetry.NewRegistry()
-	start := time.Now()
-	var lastErr atomic.Pointer[string]
-	setLastErr := func(err error) {
-		msg := err.Error()
-		lastErr.Store(&msg)
-	}
-
-	// The pipeline event layer: every operational log line, epoch span,
-	// alert and degradation lands on one bus (served as SSE on /events),
-	// and the tracer keeps the last epochs' stage timelines for
-	// /trace/epochs. The logger mirrors each line onto the bus, so stdout,
-	// the stream and the traces agree.
 	bus := events.NewBus(events.DefaultRingCap)
 	tracer := events.NewTracer(events.DefaultTraceKeep)
 	logger := slog.New(events.NewLogHandler(w, bus, "live"))
 	events.RegisterMetrics(reg, bus)
 
-	// Reopen the store for append, truncating the torn frame a killed
-	// predecessor may have left; a fresh path just creates the file (or
-	// tiered directory). The tiered store compacts hot epochs into
-	// compressed cold segments in the background and applies the -retain
-	// rollup policy; compaction outcomes land on the event bus.
+	// Detection alerts reach the event bus through the pipeline; -alerts
+	// and -webhook add stdout and the async webhook sink.
 	var (
-		sh    storeHandle
-		tw    *recordstore.Tiered
-		recov recordstore.Recovery
-	)
-	if tiered {
-		tw, recov, err = recordstore.OpenTiered(*storePath, recordstore.TieredOptions{
-			HotEpochs:    *hotEpochs,
-			CompactEvery: *compactEvery,
-			Retain:       *retain,
-			Sync:         pol,
-			OnCompact: func(cs recordstore.CompactStats, err error) {
-				// Compaction goroutine; the logger and lastErr are safe.
-				if err != nil {
-					setLastErr(fmt.Errorf("compaction: %w", err))
-					logger.Error("store: compaction failed", "kind", "degraded", "error", err.Error())
-					return
-				}
-				if cs.Migrated == 0 && cs.RolledUp == 0 {
-					return
-				}
-				logger.Info("store: compacted", "kind", "compaction",
-					"migrated", cs.Migrated, "raw_bytes", cs.RawBytes,
-					"segment_bytes", cs.SegmentBytes, "rolled_up", cs.RolledUp,
-					"stall", time.Duration(cs.StallNs).String())
-			},
-		})
-		sh = tw
-	} else {
-		var fw *recordstore.FileWriter
-		fw, recov, err = recordstore.OpenFile(*storePath, pol)
-		sh = fw
-	}
-	if err != nil {
-		return err
-	}
-	defer sh.Close()
-	// The recovery outcome feeds /healthz so tooling can assert it
-	// without scraping the startup log line below.
-	storeHealth := &telemetry.StoreHealth{
-		Path: *storePath, State: "created",
-		EpochsRecovered: recov.Epochs, TornBytes: recov.TornBytes,
-	}
-	if !recov.Created {
-		storeHealth.State = "recovered"
-	}
-	if !recov.Created || recov.TornBytes > 0 {
-		logger.Info("store: recovered "+*storePath, "kind", "recovery",
-			"epochs_intact", recov.Epochs, "torn_bytes", recov.TornBytes)
-	}
-	sh.SetMetrics(recordstore.NewMetrics(reg))
-	store := collector.NewEpochStore(sh)
-
-	// Detection runs on the collector's epoch goroutine — the serve-mode
-	// analogue of the export drain worker — with alerts fanned out to the
-	// query ring, stdout, and the async webhook sink.
-	var (
-		detector   *detect.Detector
-		hook       *webhookSink
-		epochs     atomic.Uint64
-		ckptHealth *telemetry.CheckpointHealth
+		detector *detect.Detector
+		tracker  *topk.Tracker
 	)
 	if *det {
-		detector, err = detect.NewDetector(detect.Config{
-			FanoutThreshold:   *fanout,
-			FanInThreshold:    *fanin,
-			ChangeMinDelta:    uint32(*minDelta),
-			ForecastThreshold: *forecast,
-		})
-		if err != nil {
+		if detector, err = detect.NewDetector(detectConfig()); err != nil {
 			return err
 		}
 		detector.SetMetrics(detect.NewMetrics(reg))
-		if *ckptPath != "" {
-			ckptHealth = &telemetry.CheckpointHealth{Path: *ckptPath, State: "cold"}
-			// Restore pre-crash evaluation state so a ramp in progress
-			// across the restart still alerts; a missing sidecar is a
-			// normal first boot, anything else starts cold and says so.
-			switch err := detector.LoadCheckpoint(*ckptPath); {
-			case err == nil:
-				logger.Info("checkpoint: restored "+*ckptPath, "kind", "checkpoint",
-					"epochs", detector.Epochs(), "forecast_keys", detector.ForecastTracked())
-				ckptHealth.State = "restored"
-				ckptHealth.Epochs = detector.Epochs()
-				ckptHealth.ForecastKeys = detector.ForecastTracked()
-				epochs.Store(detector.Epochs())
-			case errors.Is(err, os.ErrNotExist):
-			default:
-				ckptHealth.Error = err.Error()
-				logger.Warn(fmt.Sprintf("checkpoint: %s unusable; starting cold", *ckptPath),
-					"kind", "checkpoint", "error", err.Error())
-			}
-		}
-		// No checkpoint restored: approximate warm state by replaying
-		// stored history through the detector (alerts suppressed — they
-		// already fired when those epochs were live). The epoch counter
-		// advances past the replayed prefix so live evaluation continues
-		// where the history ends.
-		if *seedHist > 0 && epochs.Load() == 0 && !recov.Created {
-			if src, err := recordstore.Open(*storePath); err != nil {
-				logger.Warn("detect: history seed unavailable", "kind", "seed", "error", err.Error())
-			} else {
-				n, err := detector.SeedFromHistory(src, *seedHist)
-				src.Close()
-				if err != nil {
-					logger.Warn("detect: history seed failed", "kind", "seed",
-						"epochs", n, "error", err.Error())
-				} else if n > 0 {
-					epochs.Store(detector.Epochs())
-					logger.Info("detect: seeded baselines from history", "kind", "seed",
-						"epochs", n, "forecast_keys", detector.ForecastTracked())
-				}
-			}
-		}
+		var hook *webhookSink
 		if *webhook != "" {
 			hook = newWebhookSink(*webhook)
 			hook.instrument(reg)
 			hook.startLog(logger, 10*time.Second)
 			defer hook.close(w)
 		}
-		printAlerts := *alerts
 		detector.SetSink(func(as []detect.Alert) {
-			// Runs on the collector's epoch goroutine inside Observe —
-			// publishing here keeps alert events off the datagram path.
-			for _, a := range as {
-				bus.Publish(events.AlertEvent("live", a))
-			}
-			if printAlerts {
+			if *alerts {
 				for _, a := range as {
 					fmt.Fprintln(w, a)
 				}
@@ -360,70 +226,57 @@ func runServe(args []string, w io.Writer) error {
 			}
 		})
 	}
-
-	// The composed epoch sink: persist, then (with -http) feed the live
-	// top-k tracker and flush so the per-request mmap sees the epoch
-	// immediately, then (with -detect) evaluate detection — all on the
-	// collector's epoch goroutine, never the datagram path. The epoch
-	// counter versions the /netwide/topk cache.
-	var (
-		tracker *topk.Tracker
-		httpSrv *http.Server
-		httpLn  net.Listener
-	)
 	if *httpAddr != "" {
 		if tracker, err = topk.NewTracker(*topkCap); err != nil {
 			return err
 		}
 	}
-	var storeDegraded bool // epoch goroutine only; degraded event fires once
-	sink := func(ts time.Time, records []flow.Record) {
-		ep := int(epochs.Load())
-		sp := events.Begin("live", ep, ts, len(records))
-		if tracker != nil {
-			sp.Time("tracker", func() { tracker.AddRecords(records) })
+
+	// Reopen the store for append, truncating the torn frame a killed
+	// predecessor may have left; a fresh path just creates the file (or
+	// tiered directory). The tiered store compacts hot epochs into
+	// compressed cold segments in the background and applies the -retain
+	// rollup policy.
+	var (
+		pl    *pipeline.Pipeline // set before the first epoch can compact
+		recov recordstore.Recovery
+		store interface {
+			pipeline.Store
+			SetMetrics(*recordstore.Metrics)
 		}
-		preFsyncs := sh.Fsyncs()
-		sp.Time("store_write", func() { store.Sink(ts, records) })
-		if tracker != nil {
-			// Sticky; surfaced via store.Err at exit and below as an event.
-			sp.Time("store_flush", func() { _ = store.Flush() })
-		}
-		// fsync happens inside the write/flush stages when the durability
-		// policy fires; report it as its own timeline entry too.
-		if sh.Fsyncs() > preFsyncs {
-			sp.StageNs("fsync", sh.LastFsyncNs())
-		}
-		if err := store.Err(); err != nil && !storeDegraded {
-			storeDegraded = true
-			setLastErr(fmt.Errorf("store write (%d later epochs dropped): %w", store.Dropped(), err))
-			logger.Error("store: write failed, later epochs dropped",
-				"kind", "degraded", "epoch", ep, "error", err.Error())
-		}
-		if detector != nil {
-			var as []detect.Alert
-			sp.Time("detect", func() { as = detector.Observe(ep, ts, records) })
-			sp.AddAlerts(len(as))
-			if *ckptPath != "" && detector.Epochs()%uint64(*ckptEvery) == 0 {
-				sp.Time("checkpoint", func() {
-					if err := detector.SaveCheckpoint(*ckptPath); err != nil {
-						setLastErr(fmt.Errorf("checkpoint save: %w", err))
-						logger.Error("checkpoint: save failed",
-							"kind", "checkpoint", "epoch", ep, "error", err.Error())
-					}
-				})
-			}
-		}
-		sp.End(bus, tracer)
-		epochs.Add(1)
+	)
+	if tiered {
+		store, recov, err = recordstore.OpenTiered(*storePath, recordstore.TieredOptions{
+			HotEpochs:    *hotEpochs,
+			CompactEvery: *compactEvery,
+			Retain:       *retain,
+			Sync:         pol,
+			OnCompact: pipeline.CompactionLogger(logger, func(err error) {
+				pl.Degrade(fmt.Errorf("compaction: %w", err))
+			}),
+		})
+	} else {
+		store, recov, err = recordstore.OpenFile(*storePath, pol)
 	}
-	health := serveHealth(start, &epochs, store, &lastErr, setLastErr, storeHealth, ckptHealth)
+	if err != nil {
+		return err
+	}
+	store.SetMetrics(recordstore.NewMetrics(reg))
+	pl = pipeline.New(pipeline.Config{
+		Vantage: "live", Tracker: tracker,
+		Store: store, StorePath: *storePath, Recovery: recov,
+		Detector: detector, Checkpoint: *ckptPath, CheckpointEvery: *ckptEvery,
+		SeedHistory: *seedHist,
+		Bus:         bus, Tracer: tracer, Logger: logger,
+	})
+
+	var httpSrv *pipeline.Server
 	if *httpAddr != "" {
 		cfg := query.Config{
 			TopK:           tracker,
 			Store:          query.FileStore(*storePath),
 			Netwide:        []query.NamedSource{{Name: "live", Source: tracker}},
-			NetwideVersion: epochs.Load,
+			NetwideVersion: pl.Epochs,
 			Events:         bus,
 			Trace:          tracer,
 			Registry:       reg,
@@ -431,32 +284,23 @@ func runServe(args []string, w io.Writer) error {
 		if detector != nil {
 			cfg.Alerts = detector
 		}
-		httpLn, err = net.Listen("tcp", *httpAddr)
+		httpSrv, err = pipeline.Listen(*httpAddr, cfg,
+			telemetry.Ops{Registry: reg, Health: pl.Health, Debug: *debug})
 		if err != nil {
+			store.Close() // no epoch has run; nothing to checkpoint or compact
 			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/", query.NewHandler(cfg))
-		telemetry.Ops{Registry: reg, Health: health, Debug: *debug}.Register(mux)
-		httpSrv = &http.Server{
-			Handler:           telemetry.InstrumentMux(reg, mux),
-			ReadHeaderTimeout: 5 * time.Second,
-			WriteTimeout:      30 * time.Second,
-			IdleTimeout:       60 * time.Second,
-		}
-		go func() { _ = httpSrv.Serve(httpLn) }()
-		logger.Info(fmt.Sprintf("query API on http://%s", httpLn.Addr()))
+		logger.Info(fmt.Sprintf("query API on http://%s", httpSrv.Addr()))
 	}
 
 	srv, err := collector.Start(collector.Config{
 		Listen: *listen, EpochGap: *gap,
 		Readers: *readers, ReusePort: *reuseport,
 		Metrics: collector.NewMetrics(reg),
-	}, sink)
+	}, pl.Sink)
 	if err != nil {
-		if httpSrv != nil {
-			httpSrv.Close()
-		}
+		httpSrv.Shutdown()
+		store.Close()
 		return err
 	}
 	srv.RegisterMetrics(reg)
@@ -466,43 +310,19 @@ func runServe(args []string, w io.Writer) error {
 
 	// Run until the deadline or a termination signal, then shut down in
 	// dependency order: stop ingest and drain the in-flight epoch through
-	// the sink (collector.Shutdown is synchronous), checkpoint the detector
-	// with that final epoch included, make the store durable, and only then
-	// stop answering queries.
+	// the pipeline (collector.Shutdown is synchronous), close the pipeline
+	// (final checkpoint with that epoch included, durable store), and only
+	// then stop answering queries.
 	select {
 	case <-time.After(*runFor):
 	case sig := <-sigCh:
 		logger.Info(fmt.Sprintf("received %v, shutting down", sig))
 	}
 	srv.Shutdown()
-	if detector != nil && *ckptPath != "" {
-		if err := detector.SaveCheckpoint(*ckptPath); err != nil {
-			logger.Error("checkpoint: final save failed", "kind", "checkpoint", "error", err.Error())
-		}
-	}
-	// Err before Flush: Flush also returns the sticky write error, which
-	// would short-circuit the dropped-epoch diagnostic.
-	if err := store.Err(); err != nil {
-		return fmt.Errorf("store write failed (%d later epochs dropped): %w", store.Dropped(), err)
-	}
-	if tw != nil {
-		// Final synchronous compaction pass: with -compactevery 0 this is
-		// the only one, and either way the store lands compacted and
-		// retention-trimmed before the process exits.
-		if _, err := tw.Compact(); err != nil {
-			return fmt.Errorf("final compaction: %w", err)
-		}
-	}
-	if err := sh.Sync(); err != nil {
+	err = pl.Close()
+	httpSrv.Shutdown()
+	if err != nil {
 		return err
-	}
-	if httpSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := httpSrv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			httpSrv.Close()
-		}
 	}
 	st := srv.Stats()
 	if _, err = fmt.Fprintf(w, "done: %d datagrams, %d records, %d epochs, %d lost, %d bad\n",
@@ -516,32 +336,6 @@ func runServe(args []string, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// serveHealth builds the /healthz snapshot closure: liveness plus the
-// store/checkpoint recovery facts, degraded when any component reported
-// an error. Factored out of runServe so the healthy→degraded transition
-// is testable without a full serve run.
-func serveHealth(start time.Time, epochs *atomic.Uint64, store *collector.EpochStore,
-	lastErr *atomic.Pointer[string], setLastErr func(error),
-	storeHealth *telemetry.StoreHealth, ckptHealth *telemetry.CheckpointHealth) func() telemetry.Health {
-	return func() telemetry.Health {
-		h := telemetry.Health{
-			Status:        "ok",
-			UptimeSeconds: telemetry.Uptime(start),
-			Epochs:        epochs.Load(),
-			Store:         storeHealth,
-			Checkpoint:    ckptHealth,
-		}
-		if err := store.Err(); err != nil {
-			setLastErr(fmt.Errorf("store write (%d later epochs dropped): %w", store.Dropped(), err))
-		}
-		if p := lastErr.Load(); p != nil {
-			h.Status = "degraded"
-			h.LastError = *p
-		}
-		return h
-	}
 }
 
 // webhookAlert is the JSON shape of one alert delivered to the -webhook

@@ -917,3 +917,71 @@ func TestServeTieredStore(t *testing.T) {
 		t.Fatalf("second run did not append: %d epochs before, %d after", total, src.Epochs())
 	}
 }
+
+// TestServeFlatStoreVisibleWithoutHTTP: without -http and with -fsync
+// off, a closed epoch must still reach the flat store file while serve
+// is running, so a reader reopening the file (flowqueryd -store on the
+// same path) sees it and a SIGKILL cannot lose it.
+func TestServeFlatStoreVisibleWithoutHTTP(t *testing.T) {
+	udpProbe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := udpProbe.LocalAddr().String()
+	udpProbe.Close()
+
+	store := filepath.Join(t.TempDir(), "visible.frec")
+	out := &lockedBuf{}
+	serveDone := make(chan error, 1)
+	go func() {
+		serveDone <- run([]string{"serve", "-listen", port, "-store", store,
+			"-gap", "200ms", "-for", "3s"}, out)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(out.String(), "serving on") {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never came up: %q", out.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// One small epoch: far below the store writer's 4 KiB buffer.
+	conn, err := net.Dial("udp", port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exp := netflow.NewExporter(func(b []byte) error {
+		_, err := conn.Write(b)
+		return err
+	})
+	k := flow.Key{SrcIP: 0x0A000001, DstIP: 0x0A000002, DstPort: 53, Proto: 17}
+	if err := exp.Export([]flow.Record{{Key: k, Count: 7}}, 700); err != nil {
+		t.Fatal(err)
+	}
+
+	// The quiet gap closes the epoch; the store must list it while the
+	// collector is still up.
+	var epochs int
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		if src, err := recordstore.Open(store); err == nil {
+			epochs = src.Epochs()
+			src.Close()
+			if epochs > 0 {
+				break
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	select {
+	case err := <-serveDone:
+		t.Fatalf("serve exited before the check: %v", err)
+	default:
+	}
+	if epochs != 1 {
+		t.Errorf("store lists %d epochs while serve runs, want 1", epochs)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}

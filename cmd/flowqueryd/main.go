@@ -39,7 +39,9 @@
 // policy to the primary tiered store on a timer.
 //
 // -netflow is repeatable: each listener is one vantage point with its
-// own live tracker, all merged into /netwide/topk. With -detect, every
+// own live tracker, all merged into /netwide/topk. Each vantage runs its
+// epochs through its own repro/pipeline Pipeline, the same epoch pipeline
+// `flowcollect serve` uses, without a store. With -detect, every
 // vantage additionally runs its own detection subsystem (heavy changers,
 // slow-ramp forecasting, superspreaders, victim fan-in, anomaly scoring)
 // on its collector's epoch goroutine, and the per-vantage change
@@ -58,24 +60,20 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/collector"
 	"repro/detect"
-	"repro/flow"
+	"repro/pipeline"
 	"repro/query"
 	"repro/recordstore"
 	"repro/telemetry"
@@ -112,10 +110,7 @@ func run(args []string, w io.Writer) error {
 	gap := fs.Duration("gap", time.Second, "quiet gap closing a NetFlow epoch")
 	topkCap := fs.Int("topk", 4096, "live tracker capacity in flows (per vantage)")
 	det := fs.Bool("detect", false, "run detection on each live-ingested epoch (with -netflow)")
-	fanout := fs.Int("fanout", 128, "superspreader distinct-destination threshold (with -detect)")
-	fanin := fs.Int("fanin", 128, "victim fan-in distinct-source threshold (with -detect)")
-	minDelta := fs.Uint64("changedelta", 1024, "heavy-change per-flow delta threshold (with -detect)")
-	forecast := fs.Float64("forecast", 1024, "forecast CUSUM drift threshold in packets (with -detect)")
+	detectConfig := pipeline.DetectFlags(fs)
 	quorum := fs.Int("quorum", 0, "vantages that must alert on a key to promote it netwide (0 = min(2, vantages), with -detect)")
 	netwideDelta := fs.Uint64("netwidedelta", 0, "merged |delta| promoting a key netwide (0 = 4x changedelta, with -detect)")
 	runFor := fs.Duration("for", 0, "serve for this long then exit (0 = forever)")
@@ -136,22 +131,17 @@ func run(args []string, w io.Writer) error {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
 
-	cfg := query.Config{}
-	reg := telemetry.NewRegistry()
-	start := time.Now()
-	var vantageHealth []telemetry.VantageHealth
-
 	// The live-ops layer: one event bus and epoch tracer shared by every
 	// vantage (events carry their vantage label), served as /events SSE and
 	// /trace/epochs alongside the query endpoints. The logger mirrors
 	// operational lines onto the same bus.
+	reg := telemetry.NewRegistry()
+	start := time.Now()
 	bus := events.NewBus(events.DefaultRingCap)
 	tracer := events.NewTracer(events.DefaultTraceKeep)
 	logger := slog.New(events.NewLogHandler(w, bus, ""))
 	events.RegisterMetrics(reg, bus)
-	cfg.Events = bus
-	cfg.Trace = tracer
-	cfg.Registry = reg
+	cfg := query.Config{Events: bus, Trace: tracer, Registry: reg}
 
 	// Historical side: the primary store is re-opened per request (it may
 	// still be growing); every store — flat file or tiered directory —
@@ -197,10 +187,13 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer tw.Close()
-		stop := make(chan struct{})
-		defer close(stop)
+		// Joined before the store closes: a pass must never run on a
+		// closed store or log after run returns.
+		stop, done := make(chan struct{}), make(chan struct{})
+		defer func() { close(stop); <-done; tw.Close() }()
+		logCompaction := pipeline.CompactionLogger(logger, nil)
 		go func() {
+			defer close(done)
 			t := time.NewTicker(*compactEvery)
 			defer t.Stop()
 			for {
@@ -208,15 +201,7 @@ func run(args []string, w io.Writer) error {
 				case <-stop:
 					return
 				case <-t.C:
-					stats, err := tw.Compact()
-					switch {
-					case err != nil:
-						logger.Error("store: compaction failed", "kind", "degraded", "error", err.Error())
-					case stats.Migrated > 0 || stats.RolledUp > 0:
-						logger.Info("store: compacted", "kind", "compaction",
-							"migrated", stats.Migrated, "rolled_up", stats.RolledUp,
-							"stall", time.Duration(stats.StallNs).String())
-					}
+					logCompaction(tw.Compact())
 				}
 			}
 		}()
@@ -224,63 +209,54 @@ func run(args []string, w io.Writer) error {
 			"hotepochs", *hotEpochs, "retain", (*retain).String())
 	}
 
-	// Live side: NetFlow listeners feeding per-vantage online trackers,
-	// and optionally the detection subsystem — per-vantage detectors
-	// whose change summaries stream into one cross-vantage correlator.
-	// Everything runs on each collector's epoch goroutine, off the
-	// datagram paths. The shared epoch counter versions the /netwide/topk
-	// cache: responses stay memoized until the next epoch lands anywhere.
-	var epochs atomic.Uint64
+	// Live side: one pipeline per NetFlow vantage — a live tracker and,
+	// with -detect, a detector whose change summaries stream into one
+	// cross-vantage correlator. Everything runs on each collector's epoch
+	// goroutine, off the datagram paths.
 	var corr *detect.Correlator
+	dcfg := detectConfig()
 	// Correlation needs at least two vantage points: with one, every
 	// local heavy change would trivially satisfy a quorum of 1 and
 	// /netwide/alerts would just duplicate /alerts.
 	if *det && len(nfs) >= 2 {
-		names := make([]string, len(nfs))
-		copy(names, nfs)
 		var err error
 		corr, err = detect.NewCorrelator(detect.CorrelatorConfig{
-			Vantages:        names,
+			Vantages:        append([]string(nil), nfs...),
 			Quorum:          *quorum, // 0 defaults to min(2, vantages)
-			VantageMinDelta: uint32(*minDelta),
+			VantageMinDelta: dcfg.ChangeMinDelta,
 			NetwideMinDelta: uint32(*netwideDelta),
 		})
 		if err != nil {
 			return err
 		}
 		cfg.NetwideAlerts = corr
+		// Report sub-threshold deltas so the correlator can promote
+		// changes that only cross the line once merged (floored at 1: a
+		// 0 would mean "default back to ChangeMinDelta").
+		dcfg.SummaryMinDelta = max(dcfg.ChangeMinDelta/4, 1)
 	}
+	var (
+		vantages      []*pipeline.Pipeline
+		vantageHealth []telemetry.VantageHealth
+	)
 	for i, nf := range nfs {
 		tracker, err := topk.NewTracker(*topkCap)
 		if err != nil {
 			return err
 		}
+		name := "live"
+		if len(nfs) > 1 {
+			name = "live:" + nf
+		}
 		var detector *detect.Detector
 		if *det {
-			dcfg := detect.Config{
-				FanoutThreshold:   *fanout,
-				FanInThreshold:    *fanin,
-				ChangeMinDelta:    uint32(*minDelta),
-				ForecastThreshold: *forecast,
-			}
-			if corr != nil {
-				// Report sub-threshold deltas so the correlator can
-				// promote changes that only cross the line once merged
-				// (floored at 1: a 0 would mean "default back to
-				// ChangeMinDelta").
-				dcfg.SummaryMinDelta = uint32(*minDelta) / 4
-				if dcfg.SummaryMinDelta == 0 {
-					dcfg.SummaryMinDelta = 1
-				}
-			}
-			detector, err = detect.NewDetector(dcfg)
-			if err != nil {
+			if detector, err = detect.NewDetector(dcfg); err != nil {
 				return err
 			}
+			detector.SetMetrics(detect.NewMetrics(reg, "vantage", nf))
 			if corr != nil {
-				vantage := nf
 				detector.SetSummarySink(func(s detect.ChangeSummary) {
-					corr.ObserveSummary(vantage, s)
+					corr.ObserveSummary(nf, s)
 				})
 			}
 			if cfg.Alerts == nil {
@@ -289,48 +265,25 @@ func run(args []string, w io.Writer) error {
 				cfg.Alerts = detector
 			}
 		}
-		name := "live"
-		if len(nfs) > 1 {
-			name = "live:" + nf
-		}
-		if detector != nil {
-			detector.SetMetrics(detect.NewMetrics(reg, "vantage", nf))
-			// Alerts become bus events on the evaluating (epoch) goroutine,
-			// so a connected SSE client sees them within the epoch.
-			vantage := name
-			detector.SetSink(func(as []detect.Alert) {
-				for _, a := range as {
-					bus.Publish(events.AlertEvent(vantage, a))
-				}
-			})
-		}
-		// Detection epochs count per vantage (the correlator aligns
-		// epochs across vantages by index); the shared counter only
-		// versions the /netwide/topk cache.
-		d := detector
-		vantage := name
-		var vantageEpochs int
+		// Epochs count per vantage (the correlator aligns epochs across
+		// vantages by index).
+		pl := pipeline.New(pipeline.Config{
+			Vantage: name, Tracker: tracker, Detector: detector,
+			Bus: bus, Tracer: tracer, Logger: logger,
+		})
 		srv, err := collector.Start(collector.Config{
 			Listen: nf, EpochGap: *gap,
 			Metrics: collector.NewMetrics(reg, "vantage", nf),
-		},
-			func(ts time.Time, records []flow.Record) {
-				sp := events.Begin(vantage, vantageEpochs, ts, len(records))
-				sp.Time("tracker", func() { tracker.AddRecords(records) })
-				if d != nil {
-					var as []detect.Alert
-					sp.Time("detect", func() { as = d.Observe(vantageEpochs, ts, records) })
-					sp.AddAlerts(len(as))
-				}
-				sp.End(bus, tracer)
-				vantageEpochs++
-				epochs.Add(1)
-			})
+		}, pl.Sink)
 		if err != nil {
 			return err
 		}
+		// Deferred in order: the collector drains its in-flight epoch
+		// through the pipeline, then the pipeline closes.
+		defer pl.Close()
 		defer srv.Shutdown()
 		srv.RegisterMetrics(reg, "vantage", nf)
+		vantages = append(vantages, pl)
 		vantageHealth = append(vantageHealth, telemetry.VantageHealth{Name: name})
 		if i == 0 {
 			cfg.TopK = tracker
@@ -338,61 +291,50 @@ func run(args []string, w io.Writer) error {
 		cfg.Netwide = append(cfg.Netwide, query.NamedSource{Name: name, Source: tracker})
 		logger.Info(fmt.Sprintf("ingesting NetFlow on %s", srv.Addr()), "vantage", name)
 	}
-	cfg.NetwideVersion = epochs.Load
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
+	// The summed epoch count versions the /netwide/topk cache: responses
+	// stay memoized until the next epoch lands anywhere.
+	epochs := func() uint64 {
+		var n uint64
+		for _, pl := range vantages {
+			n += pl.Epochs()
+		}
+		return n
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/", query.NewHandler(cfg))
-	telemetry.Ops{
+	cfg.NetwideVersion = epochs
+
+	httpSrv, err := pipeline.Listen(*listen, cfg, telemetry.Ops{
 		Registry: reg,
 		Health: func() telemetry.Health {
 			return telemetry.Health{
 				Status:        "ok",
 				UptimeSeconds: telemetry.Uptime(start),
-				Epochs:        epochs.Load(),
+				Epochs:        epochs(),
 				Vantages:      vantageHealth,
 			}
 		},
 		Debug: *debug,
-	}.Register(mux)
-	httpSrv := &http.Server{
-		Handler:           telemetry.InstrumentMux(reg, mux),
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
+	})
+	if err != nil {
+		return err
 	}
-	logger.Info(fmt.Sprintf("flowqueryd serving on http://%s", ln.Addr()))
+	logger.Info(fmt.Sprintf("flowqueryd serving on http://%s", httpSrv.Addr()))
 
 	// Serve until the deadline (if any) or a termination signal, then shut
-	// down gracefully: stop accepting, let in-flight queries finish under a
-	// deadline, and fall back to a hard close if they will not. The
-	// deferred collector Shutdowns then drain each vantage's in-flight
-	// epoch into its tracker/detector before the process exits.
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
+	// down gracefully: stop accepting and let in-flight queries finish
+	// under a deadline. The deferred collector Shutdowns then drain each
+	// vantage's in-flight epoch through its pipeline before the process
+	// exits.
 	var deadline <-chan time.Time
 	if *runFor > 0 {
 		deadline = time.After(*runFor)
 	}
 	select {
-	case err := <-done:
-		if !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
+	case err := <-httpSrv.Failed():
+		return err
 	case <-deadline:
 	case sig := <-sigCh:
 		logger.Info(fmt.Sprintf("received %v, shutting down", sig))
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err = httpSrv.Shutdown(ctx)
-	cancel()
-	if err != nil {
-		httpSrv.Close()
-	}
-	<-done // Serve always returns after Shutdown/Close; drain it
+	httpSrv.Shutdown()
 	return nil
 }

@@ -261,6 +261,29 @@ func TestDaemonCorrelatesVantages(t *testing.T) {
 	if !strings.Contains(prom, "detect_alerts_total") {
 		t.Error("/metrics missing detect_alerts_total")
 	}
+	// Each live vantage's pipeline traces its epochs as tracker then
+	// detect.
+	var tr query.TraceResponse
+	if err := getJSON(t, base+"/trace/epochs", &tr); err != nil {
+		t.Fatal(err)
+	}
+	traced := map[string]int{}
+	for _, et := range tr.Epochs {
+		var stages []string
+		for _, st := range et.Stages {
+			stages = append(stages, st.Name)
+		}
+		if got := strings.Join(stages, ","); got != "tracker,detect" {
+			t.Errorf("vantage %s epoch %d stages %q, want tracker,detect", et.Vantage, et.Epoch, got)
+		}
+		traced[et.Vantage]++
+	}
+	for _, nf := range []string{nf1, nf2} {
+		if traced["live:"+nf] == 0 {
+			t.Errorf("/trace/epochs has no epoch of vantage live:%s: %+v", nf, tr.Epochs)
+		}
+	}
+
 	var h telemetry.Health
 	if err := getJSON(t, base+"/healthz", &h); err != nil {
 		t.Fatal(err)
@@ -291,4 +314,40 @@ func waitUp(t *testing.T, url string) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("daemon at %s never came up", url)
+}
+
+// TestDaemonCompactorStopsBeforeClose: the -compactevery maintenance
+// compactor must be joined before its store closes, so shutdown never
+// runs a pass on a closed store (a spurious "compaction failed" line)
+// or logs after run has returned. A hot tier of a few thousand epochs
+// keeps each idle pass busy for a good share of the 1ms period, and
+// several short runs make a pass in flight at shutdown near certain.
+func TestDaemonCompactorStopsBeforeClose(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store.d")
+	tw, _, err := recordstore.OpenTiered(dir, recordstore.TieredOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6000; i++ {
+		recs := []flow.Record{{Key: flow.Key{SrcIP: uint32(i + 1), DstPort: 80, Proto: 6}, Count: 10}}
+		if err := tw.WriteEpoch(time.Unix(int64(1700000000+60*i), 0), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 6; i++ {
+		var out bytes.Buffer
+		if err := run([]string{"-listen", probeTCP(t), "-store", dir,
+			"-compactevery", "1ms", "-hotepochs", "100000", "-for", "300ms"}, &out); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		// A pass still running after return would write here now.
+		time.Sleep(50 * time.Millisecond)
+		if s := out.String(); strings.Contains(s, "compaction failed") {
+			t.Fatalf("run %d logged a failed compaction at shutdown:\n%s", i, s)
+		}
+	}
 }

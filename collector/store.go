@@ -24,7 +24,6 @@ type EpochStore struct {
 	mu      sync.Mutex
 	w       recordstore.EpochWriter
 	err     error
-	epochs  uint64
 	dropped uint64
 }
 
@@ -46,9 +45,7 @@ func (s *EpochStore) Sink(ts time.Time, records []flow.Record) {
 		s.dropped++
 		return
 	}
-	if s.err = s.w.WriteEpoch(ts, records); s.err == nil {
-		s.epochs++
-	}
+	s.err = s.w.WriteEpoch(ts, records)
 }
 
 // Flush forwards to the writer, pushing buffered epochs to the underlying
@@ -68,13 +65,6 @@ func (s *EpochStore) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// Epochs returns how many epochs were persisted.
-func (s *EpochStore) Epochs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochs
 }
 
 // Dropped returns how many non-empty epochs were discarded after the

@@ -53,7 +53,7 @@ import (
 )
 
 // TopKSource serves live top-k snapshots; topk.Tracker and topk.Set
-// implement it, and adaptive.Manager sidecars resolve to one.
+// implement it.
 type TopKSource interface {
 	AppendTopK(dst []flow.Record, k int) []flow.Record
 }

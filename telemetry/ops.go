@@ -32,11 +32,9 @@ type CheckpointHealth struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// VantageHealth groups per-vantage state for multi-vantage daemons.
+// VantageHealth names one vantage of a multi-vantage daemon.
 type VantageHealth struct {
-	Name       string            `json:"name"`
-	Store      *StoreHealth      `json:"store,omitempty"`
-	Checkpoint *CheckpointHealth `json:"checkpoint,omitempty"`
+	Name string `json:"name"`
 }
 
 // Health is the /healthz response body: a structured snapshot of the

@@ -20,8 +20,7 @@ import (
 // Set groups the per-shard trackers attached to one shard.Sharded.
 // Its snapshot methods merge the shards' key-sorted views through
 // netwide.MergeSumInto into Set-owned scratch, so steady-state queries
-// with a reused dst are allocation-free. Set implements adaptive.Sidecar
-// (Reset), so a double-buffered manager rotates it with its recorder.
+// with a reused dst are allocation-free.
 type Set struct {
 	trackers []*Tracker
 
@@ -124,7 +123,7 @@ func (s *Set) AppendSorted(dst []flow.Record) []flow.Record {
 	return append(dst, s.merged...)
 }
 
-// Reset clears every shard tracker (the adaptive.Sidecar surface).
+// Reset clears every shard tracker.
 func (s *Set) Reset() {
 	for _, t := range s.trackers {
 		t.Reset()
