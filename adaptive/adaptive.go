@@ -302,7 +302,31 @@ func (m *Manager) Update(p flow.Packet) {
 	m.inEp++
 	m.checks++
 	m.total++
+	m.checkBoundaries()
+}
 
+// UpdateBatch processes a batch of packets with exactly the effect of
+// calling Update for each packet in order: the same epoch boundaries, the
+// same records in each epoch, the same counters. It walks the batch in
+// segments that end at the next packet-budget or watermark-check
+// boundary, hands each segment to the recorder's native UpdateBatch in one
+// call (itself equivalent to per-packet Update), and runs Update's
+// boundary checks after it.
+func (m *Manager) UpdateBatch(pkts []flow.Packet) {
+	for len(pkts) > 0 {
+		n := min(uint64(len(pkts)), m.cfg.MaxEpochPackets-m.inEp, m.cfg.CheckEvery-m.checks)
+		m.rec.UpdateBatch(pkts[:n])
+		pkts = pkts[n:]
+		m.inEp += n
+		m.checks += n
+		m.total += n
+		m.checkBoundaries()
+	}
+}
+
+// checkBoundaries runs the epoch-boundary checks due after packets were
+// added: the packet budget first, then the periodic watermark check.
+func (m *Manager) checkBoundaries() {
 	if m.inEp >= m.cfg.MaxEpochPackets {
 		m.Flush()
 		return
@@ -313,14 +337,6 @@ func (m *Manager) Update(p flow.Packet) {
 			m.Flush()
 		}
 	}
-}
-
-// UpdateBatch processes a batch of packets via the single-packet fallback
-// adapter: epoch boundaries are checked per packet, so the manager cannot
-// hand the whole batch to the recorder without risking a missed flush
-// inside the batch.
-func (m *Manager) UpdateBatch(pkts []flow.Packet) {
-	flowmon.UpdateAll(m, pkts)
 }
 
 // Flush ends the current epoch and starts the next one. In single-buffer

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/adaptive"
 	"repro/collector"
 	"repro/flow"
 	"repro/flowmon"
@@ -439,6 +440,52 @@ func TestTelemetryAllocFree(t *testing.T) {
 			t.Errorf("instrumented UpdateBatch allocates %.0f times per batch, want 0", allocs)
 		}
 	})
+}
+
+// TestManagerUpdateBatchAllocFree pins the batched ingest path through the
+// epoch manager: between rotations, splitting a batch at watermark-check
+// boundaries and handing the segments to HashFlow must not allocate.
+func TestManagerUpdateBatchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
+		flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The watermark is checked every 1000 packets — inside every batch —
+	// but the capacity keeps it from ever firing, and the packet budget
+	// is out of reach: no rotation in the measured window.
+	m, err := adaptive.NewManager(rec, adaptive.Config{
+		Capacity:        1 << 30,
+		MaxEpochPackets: 1 << 62,
+		CheckEvery:      1000,
+	}, func(int, []flow.Record) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Generate(trace.CAIDA, benchFlows, benchSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := tr.Packets(benchSeed)
+	const batch = 4096
+	off := 0
+	feed := func() {
+		if off+batch > len(pkts) {
+			off = 0
+		}
+		m.UpdateBatch(pkts[off : off+batch])
+		off += batch
+	}
+	feed()
+	if allocs := testing.AllocsPerRun(100, feed); allocs != 0 {
+		t.Errorf("Manager.UpdateBatch allocates %.0f times per batch, want 0", allocs)
+	}
+	if m.Epoch() != 0 {
+		t.Fatalf("%d rotations in the measured window", m.Epoch())
+	}
 }
 
 // writableBuffer is a minimal in-memory stream: bytes written are later

@@ -222,11 +222,22 @@ func BenchmarkAppendRecords(b *testing.B) {
 // BenchmarkEpochRotation measures continuous ingestion under adaptive
 // epoch control with the flush path (extract + recordstore encode) either
 // inline on the hot path (single) or on the double-buffered background
-// worker (double). The metric is per-packet cost including rotations.
+// worker (double), fed one packet at a time through Update or in
+// 4096-packet batches through UpdateBatch (-batch). The metric is
+// per-packet cost including rotations.
 func BenchmarkEpochRotation(b *testing.B) {
 	pkts, _ := benchTrace(b, trace.CAIDA, benchFlows)
-	for _, mode := range []string{"single", "double"} {
-		b.Run(mode, func(b *testing.B) {
+	const batch = 4096
+	for _, mode := range []struct {
+		name          string
+		double, batch bool
+	}{
+		{"single", false, false},
+		{"double", true, false},
+		{"single-batch", false, true},
+		{"double-batch", true, true},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
 			store := recordstore.NewWriter(io.Discard)
 			var werr error
 			flushFn := func(_ int, recs []flow.Record) {
@@ -240,7 +251,7 @@ func BenchmarkEpochRotation(b *testing.B) {
 			}
 			acfg := adaptive.Config{Capacity: active.MainCells(), MaxEpochPackets: 8192}
 			var m *adaptive.Manager
-			if mode == "single" {
+			if !mode.double {
 				m, err = adaptive.NewManager(active, acfg, flushFn)
 			} else {
 				standby, err2 := flowmon.NewHashFlow(flowmon.Config{MemoryBytes: benchMemory, Seed: benchSeed})
@@ -254,8 +265,21 @@ func BenchmarkEpochRotation(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Update(pkts[i%len(pkts)])
+			if mode.batch {
+				off := 0
+				for done := 0; done < b.N; {
+					n := min(batch, b.N-done)
+					if off+n > len(pkts) {
+						off = 0
+					}
+					m.UpdateBatch(pkts[off : off+n])
+					off += n
+					done += n
+				}
+			} else {
+				for i := 0; i < b.N; i++ {
+					m.Update(pkts[i%len(pkts)])
+				}
 			}
 			b.StopTimer()
 			m.Flush()

@@ -564,6 +564,10 @@ func (s *webhookSink) close(w io.Writer) {
 	}
 }
 
+// exportBatch is how many packets export hands the recorder per
+// UpdateBatch call.
+const exportBatch = 4096
+
 func runExport(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	algo := fs.String("algo", "HashFlow", "measurement algorithm")
@@ -614,10 +618,10 @@ func runExport(args []string, w io.Writer) error {
 	// and exports the drained epoch off the packet path, reusing one
 	// record buffer across epochs.
 	var (
-		update = rec.Update
-		finish func() (epochs int, exported uint64, exportErr error)
-		am     *adaptive.Metrics
-		tr     *events.Tracer
+		updateBatch = rec.UpdateBatch
+		finish      func() (epochs int, exported uint64, exportErr error)
+		am          *adaptive.Metrics
+		tr          *events.Tracer
 	)
 	if *epochPkts > 0 {
 		standby, err := flowmon.New(a, mcfg)
@@ -684,7 +688,7 @@ func runExport(args []string, w io.Writer) error {
 				return err
 			}
 		}
-		update = m.Update
+		updateBatch = m.UpdateBatch
 		finish = func() (int, uint64, error) {
 			if m.EpochPackets() > 0 {
 				m.Flush() // export the partial final epoch
@@ -697,7 +701,17 @@ func runExport(args []string, w io.Writer) error {
 		}
 	}
 
+	// Packets reach the recorder in batches through one reused buffer;
+	// the final partial batch is fed before the epoch accounting.
 	var pkts int
+	batch := make([]flow.Packet, 0, exportBatch)
+	feed := func(p flow.Packet) {
+		if batch = append(batch, p); len(batch) == cap(batch) {
+			updateBatch(batch)
+			pkts += len(batch)
+			batch = batch[:0]
+		}
+	}
 	if *pcapPath != "" {
 		f, err := os.Open(*pcapPath)
 		if err != nil {
@@ -713,8 +727,7 @@ func runExport(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			update(p)
-			pkts++
+			feed(p)
 		}
 	} else {
 		prof, err := trace.ProfileByName(*profile)
@@ -731,10 +744,11 @@ func runExport(args []string, w io.Writer) error {
 			if !ok {
 				break
 			}
-			update(p)
-			pkts++
+			feed(p)
 		}
 	}
+	updateBatch(batch)
+	pkts += len(batch)
 
 	if finish != nil {
 		epochs, exported, err := finish()

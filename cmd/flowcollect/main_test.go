@@ -17,14 +17,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/adaptive"
 	"repro/detect"
 	"repro/flow"
+	"repro/flowmon"
 	"repro/internal/faults"
 	"repro/netflow"
 	"repro/pcapio"
 	"repro/query"
 	"repro/recordstore"
 	"repro/telemetry"
+	"repro/trace"
 )
 
 func TestRunModes(t *testing.T) {
@@ -256,6 +259,62 @@ func TestExportEpochAligned(t *testing.T) {
 		if !strings.Contains(out.String(), stage) {
 			t.Errorf("output missing %q summary:\n%s", stage, out.String())
 		}
+	}
+}
+
+// TestExportBatchedMatchesPerPacket: export feeds the recorder in
+// batches, and an epoch budget that does not divide the batch size still
+// yields exactly the packet, record and epoch counts of feeding the same
+// trace per packet through an adaptive manager with the same config.
+func TestExportBatchedMatchesPerPacket(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+
+	var out bytes.Buffer
+	err = run([]string{"export", "-profile", "ISP2", "-flows", "3000",
+		"-epochpkts", "1000", "-to", sink.LocalAddr().String()}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: export's defaults (-mem 1<<20, -seed 1) and its
+	// manager config, fed one packet at a time.
+	tr, err := trace.Generate(trace.ISP2, 3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow, flowmon.Config{MemoryBytes: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRecs int
+	m, err := adaptive.NewManager(rec, adaptive.Config{
+		Capacity:        1,
+		HighWatermark:   1,
+		MaxEpochPackets: 1000,
+		CheckEvery:      1 << 62,
+	}, func(_ int, recs []flow.Record) { wantRecs += len(recs) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.Stream(1)
+	for p, ok := s.Next(); ok; p, ok = s.Next() {
+		m.Update(p)
+	}
+	if m.EpochPackets() > 0 {
+		m.Flush()
+	}
+
+	want := fmt.Sprintf("processed %d packets, exported %d flow records in %d epochs to %s",
+		m.TotalPackets(), wantRecs, m.Epoch(), sink.LocalAddr())
+	if got, _, _ := strings.Cut(out.String(), "\n"); got != want {
+		t.Errorf("export printed %q, want %q", got, want)
+	}
+	if m.Epoch() < 3 {
+		t.Errorf("only %d epochs: no rotation fell inside a batch", m.Epoch())
 	}
 }
 

@@ -101,43 +101,6 @@ func TestBatchSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestUpdateAllAdapter checks the single-packet fallback adapter against
-// the native batched path.
-func TestUpdateAllAdapter(t *testing.T) {
-	tr, err := trace.Generate(trace.ISP1, 3000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := tr.Packets(11)
-
-	native, err := flowmon.New(flowmon.AlgorithmHashFlow, batchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapted, err := flowmon.New(flowmon.AlgorithmHashFlow, batchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	native.UpdateBatch(pkts)
-	flowmon.UpdateAll(adapted, pkts)
-
-	if n, a := native.OpStats(), adapted.OpStats(); n != a {
-		t.Errorf("OpStats diverge: native %+v, adapter %+v", n, a)
-	}
-	nr, ar := native.Records(), adapted.Records()
-	sortRecords(nr)
-	sortRecords(ar)
-	if len(nr) != len(ar) {
-		t.Fatalf("record counts diverge: native %d, adapter %d", len(nr), len(ar))
-	}
-	for i := range nr {
-		if nr[i] != ar[i] {
-			t.Fatalf("record %d diverges: native %+v, adapter %+v", i, nr[i], ar[i])
-		}
-	}
-}
-
 // TestBatchAfterReset ensures the batched path composes with Reset: a
 // reset recorder refilled by batches matches a fresh sequential one.
 func TestBatchAfterReset(t *testing.T) {

@@ -130,23 +130,6 @@ type Recorder interface {
 	Reset()
 }
 
-// SingleUpdater is the per-packet half of Recorder. Wrappers that cannot
-// batch natively (epoch managers, instrumented decorators, test doubles)
-// satisfy UpdateBatch by delegating to UpdateAll.
-type SingleUpdater interface {
-	Update(p flow.Packet)
-}
-
-// UpdateAll is the default batch adapter: it feeds pkts to r one packet at
-// a time, preserving order. It is the fallback for recorders without a
-// native batched path and the reference semantics every native UpdateBatch
-// implementation must match.
-func UpdateAll(r SingleUpdater, pkts []flow.Packet) {
-	for _, p := range pkts {
-		r.Update(p)
-	}
-}
-
 // Compile-time interface checks for all implementations.
 var (
 	_ Recorder = (*core.HashFlow)(nil)
