@@ -2,6 +2,7 @@ package repro
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -384,6 +385,95 @@ func TestMappedEpochAllocFree(t *testing.T) {
 	}
 	if rerr != nil {
 		t.Fatal(rerr)
+	}
+}
+
+// TestColdPointReadAllocFree: a filtered cold read on a reused Segment
+// with a reused dst reuses the DEFLATE reader and the piece buffer. A
+// read served from the segment's one-block cache allocates nothing. A
+// read that misses the cache and inflates a piece allocates only the
+// overflow link tables compress/flate builds for each dynamic Huffman
+// block with codes longer than 9 bits (tens of small slices, no API to
+// reuse them); the pin is that this stays well under one DEFLATE window
+// (32 KiB), which a reader built per read, or a piece buffer allocated
+// per read, would each exceed on its own.
+func TestColdPointReadAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	rec, err := flowmon.New(flowmon.AlgorithmHashFlow,
+		flowmon.Config{MemoryBytes: 1 << 20, Seed: benchSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRecorder(t, rec, benchFlows)
+	records := rec.Records()
+	flow.SortByKey(records)
+
+	const epochs = 4
+	var stream writableBuffer
+	sw := recordstore.NewSegmentWriter(&stream, recordstore.SegmentCold)
+	for e := 0; e < epochs; e++ {
+		if err := sw.Add(recordstore.SegmentEpoch{Time: time.Unix(int64(e), 0), Records: records}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := recordstore.OpenSegmentBytes(stream.b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+
+	// The lowest and the highest source address sit in different pieces;
+	// alternating them across epochs makes every read inflate.
+	filters := []recordstore.Filter{
+		{SrcIP: records[0].Key.SrcIP},
+		{SrcIP: records[len(records)-1].Key.SrcIP},
+	}
+	var buf []flow.Record
+	var rerr error
+	i, step := 0, 1
+	read := func() {
+		ep, err := seg.AppendEpochMatching(i%epochs, filters[(i/epochs)%2], buf[:0])
+		if err != nil {
+			rerr = err
+		}
+		buf = ep.Records
+		i += step
+	}
+	for w := 0; w < 2*epochs; w++ {
+		read()
+	}
+
+	step = 0 // the same piece again: a cache hit
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("cached AppendEpochMatching allocates %.0f times per read, want 0", allocs)
+	}
+
+	step = 1
+	i++ // off the cached piece
+	const reads = 200
+	before := seg.Inflates()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < reads; r++ {
+		read()
+	}
+	runtime.ReadMemStats(&m1)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(buf) == 0 {
+		t.Fatal("filtered read matched nothing")
+	}
+	if got := seg.Inflates() - before; got != reads {
+		t.Fatalf("%d inflates over %d reads, want one per read", got, reads)
+	}
+	if perRead := (m1.TotalAlloc - m0.TotalAlloc) / reads; perRead >= 32<<10 {
+		t.Errorf("inflating AppendEpochMatching allocates %d bytes per read, want < 32 KiB", perRead)
 	}
 }
 

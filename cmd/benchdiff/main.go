@@ -7,7 +7,7 @@
 //
 // Two metric classes are checked, recognized by JSON key:
 //
-//   - performance (ns_per_*, *_stall_us, p50/p95/max_us lower-better;
+//   - performance (ns_per_*, us_per_read, *_stall_us, p50/p95/max_us lower-better;
 //     mpps, mrec_per_s higher-better), gated with -tol: a fresh value
 //     may be up to (1+tol)x worse than the baseline. The default 1.5
 //     (2.5x) deliberately catches order-of-magnitude regressions rather
@@ -46,7 +46,7 @@ func main() {
 var (
 	lowerBetter = []string{
 		"ns_per_pkt", "ns_per_record", "ns_per_epoch", "ns_per_access",
-		"ns_per_op",
+		"ns_per_op", "us_per_read",
 		"med_stall_us", "max_stall_us", "p50_us", "p95_us", "max_us",
 	}
 	higherBetter = []string{"mpps", "mrec_per_s", "_ratio"}

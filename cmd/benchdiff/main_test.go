@@ -81,6 +81,21 @@ func TestPerfRegressionFails(t *testing.T) {
 	}
 }
 
+// TestPointReadRegressionFails: us_per_read (BENCH_store.json's cold
+// point-read rows) is a gated lower-better metric.
+func TestPointReadRegressionFails(t *testing.T) {
+	dir := t.TempDir()
+	old := write(t, dir, "old.json", `{"point_read": [{"read": "src", "epochs": 32, "us_per_read": 800.0}]}`)
+	fresh := write(t, dir, "new.json", `{"point_read": [{"read": "src", "epochs": 32, "us_per_read": 2400.0}]}`)
+	out, err := runDiff(t, "-tol", "1.5", old, fresh)
+	if err == nil {
+		t.Fatalf("3x us_per_read regression passed:\n%s", out)
+	}
+	if !strings.Contains(out, "point_read[0].us_per_read") {
+		t.Errorf("violation does not name the metric: %s", out)
+	}
+}
+
 // TestQualityRegressionFails: precision/recall gate far tighter than
 // perf — a drop to 0.8 fails even though it is nowhere near 2.5x.
 func TestQualityRegressionFails(t *testing.T) {

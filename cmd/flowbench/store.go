@@ -1,8 +1,8 @@
-// The store experiment: the tiered recordstore's cost model. Three
+// The store experiment: the tiered recordstore's cost model. Four
 // measurements — how much the cold tier's delta+DEFLATE encoding shrinks
 // sorted epoch data vs the hot mmap encoding, what scanning each tier
-// costs, and how long compaction's hot-file rewrite stalls the write
-// path. The compression ratio is a gated quality metric: BENCH_store.json
+// costs, what one filtered or unfiltered cold epoch read costs, and how
+// long compaction's hot-file rewrite stalls the write path. The compression ratio is a gated quality metric: BENCH_store.json
 // pins it so a format change that quietly loses the ≥3x win fails the
 // benchdiff gate (and the recordstore unit tests pin the floor harder).
 package main
@@ -43,6 +43,15 @@ type storeScanRow struct {
 	MRecPerS    float64 `json:"mrec_per_s"`
 }
 
+// storePointRow is the cost of reading one cold epoch, the way a
+// /v1/flows?epoch= request does: with a source-address filter the reader
+// inflates only the pieces that can hold the address.
+type storePointRow struct {
+	Read      string  `json:"read"` // src | all
+	Epochs    int     `json:"epochs"`
+	UsPerRead float64 `json:"us_per_read"`
+}
+
 // storeStallRow summarizes the write-path stall compaction caused.
 type storeStallRow struct {
 	Rounds       int     `json:"rounds"`
@@ -53,7 +62,8 @@ type storeStallRow struct {
 
 // runStoreBench measures the tiered storage layer: cold-tier compression
 // ratio on sorted epoch data, cold-scan vs hot-scan decode throughput,
-// and the compaction stall the ingest path observes.
+// cold point-read latency, and the compaction stall the ingest path
+// observes.
 func runStoreBench(cfg config, w io.Writer) error {
 	// Epoch shape: a realistic key population from the trace generator,
 	// key-sorted once, with per-epoch count drift — the persistent-flow
@@ -230,7 +240,42 @@ func runStoreBench(cfg config, w io.Writer) error {
 		}
 	}
 
-	// (3) Compaction stall: fill a tiered store past its hot window and
+	// (3) Cold point reads over the same shape: every epoch once, so each
+	// read misses the segment's one-block cache as a fresh request would.
+	// The filtered read asks for a source address present in every epoch.
+	probe := recordstore.Filter{SrcIP: records[len(records)/2].Key.SrcIP}
+	var pointRows []storePointRow
+	for _, pr := range []struct {
+		name string
+		f    recordstore.Filter
+	}{{"src", probe}, {"all", recordstore.Filter{}}} {
+		var buf []flow.Record
+		ns, err := bestNs(passes, func() error {
+			for i := 0; i < seg.Epochs(); i++ {
+				ep, err := seg.AppendEpochMatching(i, pr.f, buf[:0])
+				if err != nil {
+					return err
+				}
+				buf = ep.Records
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		pointRows = append(pointRows, storePointRow{Read: pr.name, Epochs: seg.Epochs(),
+			UsPerRead: float64(ns) / float64(seg.Epochs()) / 1e3})
+	}
+	if _, err := fmt.Fprintln(w, "point_read\tepochs\tus_per_read"); err != nil {
+		return err
+	}
+	for _, row := range pointRows {
+		if _, err := fmt.Fprintf(w, "%s\t%d\t%.1f\n", row.Read, row.Epochs, row.UsPerRead); err != nil {
+			return err
+		}
+	}
+
+	// (4) Compaction stall: fill a tiered store past its hot window and
 	// compact, round after round; the stall is the hot-file rewrite's
 	// lock hold — the only compaction cost the write path can see.
 	rounds := 8
@@ -277,8 +322,9 @@ func runStoreBench(cfg config, w io.Writer) error {
 		return writeBenchJSON("store", struct {
 			Compression []storeCompressionRow `json:"compression"`
 			Scan        []storeScanRow        `json:"scan"`
+			PointRead   []storePointRow       `json:"point_read"`
 			Compaction  storeStallRow         `json:"compaction"`
-		}{compRows, scanRows, stall})
+		}{compRows, scanRows, pointRows, stall})
 	}
 	return nil
 }

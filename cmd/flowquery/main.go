@@ -72,16 +72,17 @@ func runLocal(store string, filter recordstore.Filter, top int, w io.Writer) err
 	var buf []flow.Record
 	epochs := src.Epochs()
 	for i := 0; i < epochs; i++ {
-		ep, err := src.AppendEpochAt(i, buf[:0])
+		// The store filters during decode, so ep holds only the matches.
+		ep, err := src.AppendEpochMatching(i, filter, buf[:0])
 		if err != nil {
 			return err
 		}
 		buf = ep.Records
-		hits := filter.Apply(ep.Records)
-		totalRecords += len(ep.Records)
-		matched = append(matched, hits...)
+		records := src.EpochLen(i)
+		totalRecords += records
+		matched = append(matched, ep.Records...)
 		if _, err := fmt.Fprintf(w, "epoch %d  %s  %d records, %d matched\n",
-			i, ep.Time.Format("2006-01-02T15:04:05.000Z07:00"), len(ep.Records), len(hits)); err != nil {
+			i, ep.Time.Format("2006-01-02T15:04:05.000Z07:00"), records, len(ep.Records)); err != nil {
 			return err
 		}
 	}

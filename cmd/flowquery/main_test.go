@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/apps"
 	"repro/flow"
 	"repro/query"
 	"repro/recordstore"
@@ -129,5 +131,101 @@ func TestQueryRemote(t *testing.T) {
 
 	if err := run([]string{"-remote", "http://127.0.0.1:1/nope"}, &buf); err == nil {
 		t.Error("accepted unreachable daemon")
+	}
+}
+
+// TestQueryTieredPushdownOutput: the local scan filters inside the store
+// (AppendEpochMatching); on a tiered store whose cold epochs are cut
+// into pieces its output must be byte-identical to filtering every fully
+// decoded epoch afterwards.
+func TestQueryTieredPushdownOutput(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tiered")
+	tw, _, err := recordstore.OpenTiered(dir, recordstore.TieredOptions{HotEpochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perEpoch = 20000
+	for e := 0; e < 6; e++ {
+		recs := make([]flow.Record, 0, perEpoch)
+		for i := 0; i < perEpoch; i++ {
+			recs = append(recs, flow.Record{
+				Key: flow.Key{
+					SrcIP: uint32(0x0A000000 + (i%200)*1021), DstIP: uint32(0xC0A80000 + i + e),
+					SrcPort: uint16(1024 + i%7), DstPort: uint16(80 + 363*(i%2)), Proto: uint8(6 + 11*(i%3/2)),
+				},
+				Count: uint32(1 + (i*31+e*7)%97),
+			})
+		}
+		if err := tw.WriteEpoch(time.Unix(int64(1700000000+60*e), 0), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tw.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	src, err := recordstore.OpenTieredSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.EpochInfo(0).Tier != "cold" {
+		t.Fatalf("epoch 0 is %q, want cold", src.EpochInfo(0).Tier)
+	}
+	if _, err := src.AppendEpochMatching(0, recordstore.Filter{SrcIP: 0x0A0003FD}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if src.Inflates() != 1 {
+		t.Fatalf("src read of a cold epoch inflated %d blocks; want a store whose epochs are cut into pieces", src.Inflates())
+	}
+	src.Close()
+
+	// reference is the scan without pushdown: decode whole, then filter.
+	reference := func(filter recordstore.Filter, top int) string {
+		src, err := recordstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		var b strings.Builder
+		var matched []flow.Record
+		total := 0
+		for i := 0; i < src.Epochs(); i++ {
+			ep, err := src.AppendEpochAt(i, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := filter.Apply(ep.Records)
+			total += len(ep.Records)
+			matched = append(matched, hits...)
+			fmt.Fprintf(&b, "epoch %d  %s  %d records, %d matched\n",
+				i, ep.Time.Format("2006-01-02T15:04:05.000Z07:00"), len(ep.Records), len(hits))
+		}
+		fmt.Fprintf(&b, "total: %d epochs, %d records, %d matched\n", src.Epochs(), total, len(matched))
+		if top > 0 {
+			for i, r := range apps.TopTalkers(matched, top) {
+				fmt.Fprintf(&b, "%3d. %-45s %d pkts\n", i+1, r.Key, r.Count)
+			}
+		}
+		return b.String()
+	}
+
+	for _, expr := range []string{"", "src=10.0.3.253", "src=10.0.3.253,dport=443", "src=10.0.3.254", "proto=17,minpkts=50", "dst=192.168.1.0"} {
+		filter, err := recordstore.ParseFilter(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := run([]string{"-store", dir, "-filter", expr, "-top", "5"}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if expr == "src=10.0.3.253" && !strings.Contains(got.String(), "total: 6 epochs, 120000 records, 600 matched") {
+			t.Errorf("filter %q: unexpected totals:\n%s", expr, got.String())
+		}
+		if want := reference(filter, 5); got.String() != want {
+			t.Errorf("filter %q: output differs from decode-then-filter\ngot:\n%s\nwant:\n%s", expr, got.String(), want)
+		}
 	}
 }

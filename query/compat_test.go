@@ -286,3 +286,75 @@ func TestTieredStoreThroughHandler(t *testing.T) {
 		t.Fatalf("limited epochs = %d limited=%v", len(eps.Epochs), eps.Limited)
 	}
 }
+
+// postFilter serves AppendEpochMatching by decoding the whole epoch and
+// filtering afterwards: the reference the store-side pushdown must equal.
+type postFilter struct{ recordstore.EpochSource }
+
+func (p postFilter) AppendEpochMatching(i int, f recordstore.Filter, dst []flow.Record) (recordstore.Epoch, error) {
+	ep, err := p.AppendEpochAt(i, nil)
+	if err != nil {
+		return recordstore.Epoch{}, err
+	}
+	ep.Records = append(dst, f.Apply(ep.Records)...)
+	return ep, nil
+}
+
+// TestFlowsPushdownBodies: /v1/flows and legacy /flows over a tiered
+// store whose cold epochs are cut into pieces answer byte-identically
+// to decoding every epoch and filtering afterwards — counts, limits
+// and payloads alike.
+func TestFlowsPushdownBodies(t *testing.T) {
+	dir := t.TempDir()
+	tw, _, err := recordstore.OpenTiered(dir, recordstore.TieredOptions{HotEpochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(1700000000, 0).UTC()
+	for e := 0; e < 5; e++ {
+		recs := make([]flow.Record, 0, 20000)
+		for i := 0; i < 20000; i++ {
+			recs = append(recs, flow.Record{
+				Key:   flow.Key{SrcIP: uint32(0x0A000000 + (i%150)*509), DstIP: uint32(0xC0A80000 + i), DstPort: uint16(80 + i%3), Proto: 6},
+				Count: uint32(1 + (i+e)%61),
+			})
+		}
+		if err := tw.WriteEpoch(base.Add(time.Duration(e)*time.Minute), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tw.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pushed := httptest.NewServer(NewHandler(Config{Store: FileStore(dir)}))
+	defer pushed.Close()
+	ref := httptest.NewServer(NewHandler(Config{Store: func() (recordstore.EpochSource, func() error, error) {
+		src, err := recordstore.Open(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return postFilter{src}, src.Close, nil
+	}}))
+	defer ref.Close()
+
+	for _, path := range []string{
+		"/v1/flows?epoch=0&filter=src%3D10.0.1.253",
+		"/v1/flows?from=1700000000&to=1700000180&filter=src%3D10.0.1.253",
+		"/v1/flows?epoch=1&filter=src%3D10.0.1.254",
+		"/v1/flows?epoch=2&filter=src%3D10.0.1.253%2Cdport%3D81",
+		"/v1/flows?epoch=0&filter=dst%3D192.168.0.7",
+		"/v1/flows?epoch=1&filter=minpkts%3D60&limit=50",
+		"/v1/flows?limit=3",
+		"/flows?filter=src%3D10.0.1.253&limit=500",
+	} {
+		wantStatus, _, want := getRaw(t, ref, path)
+		gotStatus, _, got := getRaw(t, pushed, path)
+		if gotStatus != http.StatusOK || gotStatus != wantStatus || got != want {
+			t.Errorf("%s: status %d body %d bytes, want status %d body %d bytes (identical)", path, gotStatus, len(got), wantStatus, len(want))
+		}
+	}
+}

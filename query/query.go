@@ -544,7 +544,8 @@ func (h *handler) flows(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	resp := FlowsResponse{}
 	var buf []flow.Record
 	for i := lo; i < hi && !resp.Limited; i++ {
-		ep, err := src.AppendEpochAt(i, buf[:0])
+		// The store filters during decode: ep holds only matching records.
+		ep, err := src.AppendEpochMatching(i, p.Filter, buf[:0])
 		if err != nil {
 			writeError(w, v, http.StatusInternalServerError, err)
 			return
@@ -555,9 +556,6 @@ func (h *handler) flows(w http.ResponseWriter, r *http.Request, v apiVersion) {
 			resp.RollupEpochs++
 		}
 		for _, rec := range ep.Records {
-			if !p.Filter.Match(rec) {
-				continue
-			}
 			resp.Matched++
 			if len(resp.Flows) >= p.Limit {
 				resp.Limited = true

@@ -5,23 +5,50 @@
 // keyset barely changes from one epoch to the next, so adjacent epochs'
 // sorted key streams are nearly byte-identical.
 //
-// Epochs are grouped into blocks. Within a block the per-record streams
-// are laid out columnar — every epoch's key bytes first, then every
-// epoch's count bytes — so each epoch's key stream sits directly after
-// the previous epoch's inside the DEFLATE window and compresses to a
-// near-reference. Per-epoch headers (timestamp, counts, stream lengths)
-// stay outside the compressed stream, so listing a segment's epochs and
-// answering time-range queries never inflates anything; decoding one
-// epoch inflates only its block.
+// Small epochs are grouped into blocks. Within a block the per-record
+// streams are laid out columnar — every epoch's key bytes first, then
+// every epoch's count bytes — so each epoch's key stream sits directly
+// after the previous epoch's inside the DEFLATE window and compresses to
+// a near-reference. An epoch whose streams reach pieceBytes is too big
+// for that: DEFLATE's 32 KiB window cannot reach back into its
+// neighbour. Such an epoch is cut into pieces instead, one block each,
+// and every piece restarts the key delta coding and names its first
+// packed key in the clear. Records are key-sorted, so the first keys
+// bound each piece's key range, and a filtered read inflates only the
+// pieces whose range can hold a match. Per-entry headers (timestamp,
+// counts, stream lengths, first keys) stay outside the compressed
+// stream, so listing a segment's epochs and answering time-range
+// queries never inflates anything.
 //
-// File layout:
+// File layout (version 2):
 //
 //	magic "FSEG" | version u8 | kind u8 (cold | rollup)
-//	per block: uvarint frame length, then
-//	    uvarint epoch count
-//	    per epoch: uvarint nanos delta | count | keysLen | countsLen |
-//	               span | totalRecords | totalPackets
-//	    DEFLATE stream of keys_1..keys_E || counts_1..counts_E
+//	per block: DEFLATE stream of keys_1..keys_E || counts_1..counts_E
+//	index, per block in file order:
+//	    uvarint entry count
+//	    per entry, all uvarints:
+//	        flag (0 whole epoch | 1 head piece | 2 continuation piece)
+//	        nanos delta | span | totalRecords | totalPackets  (not on continuations)
+//	        piece count                                        (head pieces only)
+//	        count | keysLen | countsLen
+//	        first key w1 | w2                                  (pieces only)
+//	    uvarint compressed stream length
+//	u32 little-endian index length
+//
+// Whole epochs share blocks; a head piece and its continuations each
+// sit alone in their block, in key order. The head names the epoch's
+// piece count, so a segment missing a piece fails to open instead of
+// serving part of an epoch. The headers sit together at the end of the
+// file rather than before each block: queries reopen segments per
+// request, and an index spread over every ~50 KiB piece would fault in
+// (with the kernel's fault-around) nearly the whole mapping on each
+// open.
+//
+// Version 1 segments frame each block as uvarint frame length | uvarint
+// entry count | headers | DEFLATE stream, with no flag or pieces: each
+// entry is nanos delta | count | keysLen | countsLen | span |
+// totalRecords | totalPackets. They still read, each epoch as a single
+// piece with no first key.
 //
 // Segments are immutable: they are written to a temp file, fsynced, and
 // renamed into place by the compactor, so a reader never sees a partial
@@ -36,9 +63,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/flow"
@@ -46,8 +75,10 @@ import (
 
 // Cold-format constants.
 const (
-	segMagic   = "FSEG"
-	segVersion = 1
+	segMagic = "FSEG"
+	// segVersion is the version SegmentWriter emits. Version 1 segments
+	// (no pieces) are still read.
+	segVersion = 2
 
 	// DefaultBlockEpochs bounds how many epochs share one DEFLATE stream:
 	// the decompression unit of a random epoch read. Larger blocks
@@ -55,9 +86,20 @@ const (
 	// point reads inflate more.
 	DefaultBlockEpochs = 16
 	// defaultBlockBytes flushes a block early once its raw streams reach
-	// this size, keeping the inflate cost of a point read bounded for
-	// very large epochs.
+	// this size, keeping the inflate cost of a point read bounded.
 	defaultBlockBytes = 1 << 20
+	// pieceBytes is the raw stream size at which an epoch stops sharing a
+	// block and is cut into pieces of about this size, one block each.
+	// At this size DEFLATE's 32 KiB window cannot reach the neighbouring
+	// epoch anyway, and a piece bounds what a filtered read inflates.
+	pieceBytes = 64 << 10
+)
+
+// Entry flags of a version 2 block header.
+const (
+	entryWhole = iota // a whole epoch sharing its block
+	entryHead         // the first piece of a split epoch
+	entryCont         // a later piece of the same epoch
 )
 
 // SegmentKind distinguishes lossless cold segments from downsampled
@@ -102,9 +144,10 @@ type SegmentEpoch struct {
 	TotalPackets uint64
 }
 
-// SegmentWriter encodes epochs into the cold segment format. Epochs
-// accumulate into blocks that are compressed and framed on rotation;
-// Close flushes the final block. Not safe for concurrent use.
+// SegmentWriter encodes epochs into the cold segment format. Small epochs
+// accumulate into blocks that are compressed and written on rotation;
+// large ones are written at once as a run of piece blocks. Close flushes
+// the final block and writes the index. Not safe for concurrent use.
 type SegmentWriter struct {
 	w    io.Writer
 	kind SegmentKind
@@ -116,15 +159,25 @@ type SegmentWriter struct {
 	err     error
 
 	// Pending block state.
-	hdr    []byte // per-epoch header varints
+	hdr    []byte // per-entry header varints
 	keys   []byte // concatenated key streams
 	counts []byte // concatenated count streams
 	epochs int    // epochs in the pending block
 	last   int64  // nanos of the last epoch accepted (for header deltas)
 
+	cuts []segCut // piece starts of the epoch being added
+
+	index []byte // the trailing index, written by Close
+
 	comp  bytes.Buffer
 	flate *flate.Writer
-	frame []byte
+}
+
+// segCut marks where one piece of the epoch being added starts.
+type segCut struct {
+	rec       int // index of the piece's first record
+	keysOff   int // offset of its key stream in SegmentWriter.keys
+	countsOff int // offset of its count stream in SegmentWriter.counts
 }
 
 // NewSegmentWriter builds a writer emitting kind-flavored segments to w.
@@ -151,12 +204,8 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if !sw.started {
-		hdr := append([]byte(segMagic), segVersion, byte(sw.kind))
-		if _, err := sw.w.Write(hdr); err != nil {
-			return sw.fail(fmt.Errorf("recordstore: write segment header: %w", err))
-		}
-		sw.started = true
+	if err := sw.start(); err != nil {
+		return err
 	}
 	// Timestamps are delta-coded against the previous epoch across block
 	// boundaries; the first header's delta base is zero, so it carries the
@@ -183,8 +232,11 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 
 	// Encode the record streams columnar: key deltas/xors into keys,
 	// counts into counts, exactly the hot encoder's per-record scheme
-	// split into two streams.
+	// split into two streams. A new piece starts, with the delta coding
+	// restarted, once the current one holds pieceBytes.
 	keysStart, countsStart := len(sw.keys), len(sw.counts)
+	sw.cuts = append(sw.cuts[:0], segCut{keysOff: keysStart, countsOff: countsStart})
+	cur := sw.cuts[0]
 	var prev1, prev2 uint64
 	for i, r := range ep.Records {
 		// Deltas of descending keys would wrap and decode silently into
@@ -193,6 +245,11 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 		if i > 0 && flow.CompareKeys(ep.Records[i-1].Key, r.Key) > 0 {
 			return sw.fail(fmt.Errorf("recordstore: segment epoch records out of key order at record %d", i))
 		}
+		if len(sw.keys)-cur.keysOff+len(sw.counts)-cur.countsOff >= pieceBytes {
+			cur = segCut{rec: i, keysOff: len(sw.keys), countsOff: len(sw.counts)}
+			sw.cuts = append(sw.cuts, cur)
+			prev1, prev2 = 0, 0
+		}
 		w1, w2 := r.Key.Words()
 		sw.keys = binary.AppendUvarint(sw.keys, w1-prev1)
 		sw.keys = binary.AppendUvarint(sw.keys, w2^prev2)
@@ -200,13 +257,13 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 		prev1, prev2 = w1, w2
 	}
 
-	sw.hdr = binary.AppendUvarint(sw.hdr, uint64(nanos-sw.last))
-	sw.hdr = binary.AppendUvarint(sw.hdr, uint64(len(ep.Records)))
-	sw.hdr = binary.AppendUvarint(sw.hdr, uint64(len(sw.keys)-keysStart))
-	sw.hdr = binary.AppendUvarint(sw.hdr, uint64(len(sw.counts)-countsStart))
-	sw.hdr = binary.AppendUvarint(sw.hdr, uint64(span))
-	sw.hdr = binary.AppendUvarint(sw.hdr, totalRecords)
-	sw.hdr = binary.AppendUvarint(sw.hdr, totalPackets)
+	keysLen, countsLen := len(sw.keys)-keysStart, len(sw.counts)-countsStart
+	if keysLen+countsLen >= pieceBytes {
+		return sw.addPieces(ep.Records, nanos, span, totalRecords, totalPackets)
+	}
+	sw.hdr = binary.AppendUvarint(sw.hdr, entryWhole)
+	sw.hdr = appendEpochHeader(sw.hdr, uint64(nanos-sw.last), span, totalRecords, totalPackets)
+	sw.hdr = appendStreamHeader(sw.hdr, len(ep.Records), keysLen, countsLen)
 	sw.last = nanos
 	sw.epochs++
 
@@ -216,9 +273,76 @@ func (sw *SegmentWriter) Add(ep SegmentEpoch) error {
 	return nil
 }
 
-// flushBlock compresses and frames the pending epochs.
+// addPieces writes the epoch just encoded at the tail of the pending
+// streams as a run of piece blocks, per sw.cuts. The pending block of
+// earlier epochs goes out first, so blocks stay in epoch order.
+func (sw *SegmentWriter) addPieces(recs []flow.Record, nanos int64, span int, totalRecords, totalPackets uint64) error {
+	first := sw.cuts[0]
+	if err := sw.writeBlock(sw.epochs, sw.hdr, sw.keys[:first.keysOff], sw.counts[:first.countsOff]); err != nil {
+		return err
+	}
+	for p, c := range sw.cuts {
+		end := segCut{rec: len(recs), keysOff: len(sw.keys), countsOff: len(sw.counts)}
+		if p+1 < len(sw.cuts) {
+			end = sw.cuts[p+1]
+		}
+		hdr := sw.hdr[:0] // the pending headers are written: reuse the buffer
+		if p == 0 {
+			hdr = binary.AppendUvarint(hdr, entryHead)
+			hdr = appendEpochHeader(hdr, uint64(nanos-sw.last), span, totalRecords, totalPackets)
+			hdr = binary.AppendUvarint(hdr, uint64(len(sw.cuts)))
+		} else {
+			hdr = binary.AppendUvarint(hdr, entryCont)
+		}
+		hdr = appendStreamHeader(hdr, end.rec-c.rec, end.keysOff-c.keysOff, end.countsOff-c.countsOff)
+		w1, w2 := recs[c.rec].Key.Words()
+		hdr = binary.AppendUvarint(hdr, w1)
+		hdr = binary.AppendUvarint(hdr, w2)
+		sw.hdr = hdr
+		if err := sw.writeBlock(1, hdr, sw.keys[c.keysOff:end.keysOff], sw.counts[c.countsOff:end.countsOff]); err != nil {
+			return err
+		}
+	}
+	sw.last = nanos
+	sw.resetPending()
+	return nil
+}
+
+// appendEpochHeader appends the epoch-level fields of a whole or head
+// entry.
+func appendEpochHeader(b []byte, nanosDelta uint64, span int, totalRecords, totalPackets uint64) []byte {
+	b = binary.AppendUvarint(b, nanosDelta)
+	b = binary.AppendUvarint(b, uint64(span))
+	b = binary.AppendUvarint(b, totalRecords)
+	return binary.AppendUvarint(b, totalPackets)
+}
+
+// appendStreamHeader appends an entry's record count and stream lengths.
+func appendStreamHeader(b []byte, count, keysLen, countsLen int) []byte {
+	b = binary.AppendUvarint(b, uint64(count))
+	b = binary.AppendUvarint(b, uint64(keysLen))
+	return binary.AppendUvarint(b, uint64(countsLen))
+}
+
+// flushBlock writes the pending epochs as one block.
 func (sw *SegmentWriter) flushBlock() error {
-	if sw.epochs == 0 {
+	err := sw.writeBlock(sw.epochs, sw.hdr, sw.keys, sw.counts)
+	sw.resetPending()
+	return err
+}
+
+func (sw *SegmentWriter) resetPending() {
+	sw.hdr = sw.hdr[:0]
+	sw.keys = sw.keys[:0]
+	sw.counts = sw.counts[:0]
+	sw.epochs = 0
+}
+
+// writeBlock compresses keys || counts into the file and records the
+// block's entry count, headers and compressed length in the index. An
+// entry-less block writes nothing.
+func (sw *SegmentWriter) writeBlock(entries int, hdr, keys, counts []byte) error {
+	if entries == 0 {
 		return nil
 	}
 	sw.comp.Reset()
@@ -231,51 +355,56 @@ func (sw *SegmentWriter) flushBlock() error {
 	} else {
 		sw.flate.Reset(&sw.comp)
 	}
-	if _, err := sw.flate.Write(sw.keys); err != nil {
+	if _, err := sw.flate.Write(keys); err != nil {
 		return sw.fail(err)
 	}
-	if _, err := sw.flate.Write(sw.counts); err != nil {
+	if _, err := sw.flate.Write(counts); err != nil {
 		return sw.fail(err)
 	}
 	if err := sw.flate.Close(); err != nil {
 		return sw.fail(err)
 	}
 
-	sw.frame = sw.frame[:0]
-	sw.frame = binary.AppendUvarint(sw.frame, uint64(sw.epochs))
-	sw.frame = append(sw.frame, sw.hdr...)
-	sw.frame = append(sw.frame, sw.comp.Bytes()...)
-
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(sw.frame)))
-	if _, err := sw.w.Write(lenBuf[:n]); err != nil {
-		return sw.fail(fmt.Errorf("recordstore: write block frame: %w", err))
+	if _, err := sw.w.Write(sw.comp.Bytes()); err != nil {
+		return sw.fail(fmt.Errorf("recordstore: write block: %w", err))
 	}
-	if _, err := sw.w.Write(sw.frame); err != nil {
-		return sw.fail(fmt.Errorf("recordstore: write block frame: %w", err))
-	}
-
-	sw.hdr = sw.hdr[:0]
-	sw.keys = sw.keys[:0]
-	sw.counts = sw.counts[:0]
-	sw.epochs = 0
+	sw.index = binary.AppendUvarint(sw.index, uint64(entries))
+	sw.index = append(sw.index, hdr...)
+	sw.index = binary.AppendUvarint(sw.index, uint64(sw.comp.Len()))
 	return nil
 }
 
-// Close flushes the final block. The header is written even for an
-// epoch-less segment so the file is recognizably a (valid, empty) one.
+// start writes the file header once.
+func (sw *SegmentWriter) start() error {
+	if sw.started {
+		return nil
+	}
+	hdr := append([]byte(segMagic), segVersion, byte(sw.kind))
+	if _, err := sw.w.Write(hdr); err != nil {
+		return sw.fail(fmt.Errorf("recordstore: write segment header: %w", err))
+	}
+	sw.started = true
+	return nil
+}
+
+// Close flushes the final block and writes the trailing index. The
+// header and index are written even for an epoch-less segment so the
+// file is recognizably a (valid, empty) one.
 func (sw *SegmentWriter) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if !sw.started {
-		hdr := append([]byte(segMagic), segVersion, byte(sw.kind))
-		if _, err := sw.w.Write(hdr); err != nil {
-			return sw.fail(err)
-		}
-		sw.started = true
+	if err := sw.start(); err != nil {
+		return err
 	}
-	return sw.flushBlock()
+	if err := sw.flushBlock(); err != nil {
+		return err
+	}
+	sw.index = binary.LittleEndian.AppendUint32(sw.index, uint32(len(sw.index)))
+	if _, err := sw.w.Write(sw.index); err != nil {
+		return sw.fail(fmt.Errorf("recordstore: write segment index: %w", err))
+	}
+	return nil
 }
 
 func (sw *SegmentWriter) fail(err error) error {
@@ -289,14 +418,27 @@ func (sw *SegmentWriter) fail(err error) error {
 type segEpochMeta struct {
 	nanos        int64
 	count        int
-	keysOff      int // offset into the block's raw (inflated) bytes
-	keysLen      int
-	countsOff    int
-	countsLen    int
-	block        int
 	span         int
 	totalRecords uint64
 	totalPackets uint64
+	pieces       int // index of the epoch's first piece in Segment.pieces
+	npieces      int
+}
+
+// segPiece is one independently decodable run of an epoch's records: a
+// whole epoch in a shared block, or one piece of a split epoch.
+type segPiece struct {
+	block     int
+	count     int
+	keysOff   int // offset into the block's raw (inflated) bytes
+	keysLen   int
+	countsOff int
+	countsLen int
+	// w1, w2 are the piece's first packed key. keyed is false when the
+	// header names none (whole epochs, version 1 segments), which turns
+	// pruning off for the piece.
+	w1, w2 uint64
+	keyed  bool
 }
 
 // segBlock is one compression block of an open segment.
@@ -304,28 +446,51 @@ type segBlock struct {
 	compOff int // offset of the DEFLATE stream in the segment data
 	compLen int
 	rawLen  int // total inflated length (keys + counts)
-	first   int // first epoch index in the block
-	epochs  int
 }
 
 // Segment is a cold or rollup segment opened for reading. The per-epoch
-// index is built once on open without inflating anything; AppendEpochAt
-// inflates the target epoch's block (cached, so sequential scans inflate
+// index is built once on open without inflating anything; a read
+// inflates only the blocks it needs (cached, so sequential scans inflate
 // each block once). Safe for concurrent use.
 type Segment struct {
-	data  []byte
-	unmap func() error
-	kind  SegmentKind
-	metas []segEpochMeta
-	blks  []segBlock
+	data   []byte
+	unmap  func() error
+	kind   SegmentKind
+	metas  []segEpochMeta
+	pieces []segPiece
+	blks   []segBlock
+
+	// inflates counts block inflations (cache misses).
+	inflates atomic.Uint64
 
 	// Single-block inflate cache; guarded by mu. Queries re-open segments
 	// per request, so one slot captures both sequential scans and
-	// repeated point reads without a real cache policy.
+	// repeated point reads without a real cache policy. The buffer comes
+	// from rawBufs and goes back on Close.
 	mu       sync.Mutex
 	cachedIx int
-	cached   []byte
+	cached   *rawBuf
 }
+
+// rawBuf is a pooled inflate buffer: segments opened per request reuse
+// the memory of earlier ones instead of allocating their own.
+type rawBuf struct{ b []byte }
+
+var rawBufs = sync.Pool{New: func() any { return new(rawBuf) }}
+
+// inflater is a reusable DEFLATE reader. flate.NewReader allocates its
+// window and tables on every call; a pooled one is Reset instead.
+type inflater struct {
+	src  bytes.Reader
+	fr   io.ReadCloser
+	tail [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
 
 // OpenSegment maps and indexes the segment file at path.
 func OpenSegment(path string) (*Segment, error) {
@@ -365,7 +530,8 @@ func newSegment(data []byte, unmap func() error) (*Segment, error) {
 	if string(data[:len(segMagic)]) != segMagic {
 		return nil, ErrNotSegment
 	}
-	if v := data[len(segMagic)]; v != segVersion {
+	v := data[len(segMagic)]
+	if v != 1 && v != segVersion {
 		return nil, fmt.Errorf("unsupported segment version %d", v)
 	}
 	kind := SegmentKind(data[len(segMagic)+1])
@@ -373,93 +539,236 @@ func newSegment(data []byte, unmap func() error) (*Segment, error) {
 		return nil, fmt.Errorf("unknown segment kind %d", kind)
 	}
 	s := &Segment{data: data, unmap: unmap, kind: kind, cachedIx: -1}
-	if err := s.buildIndex(hdrLen); err != nil {
+	if err := s.buildIndex(hdrLen, v); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// buildIndex walks the block frames, decoding only headers. Segments are
-// immutable once renamed into place, so unlike the hot store's live tail
-// any structural damage here is fatal for the whole segment.
-func (s *Segment) buildIndex(off int) error {
-	var lastNanos int64
-	for off < len(s.data) {
-		frameLen, n := binary.Uvarint(s.data[off:])
-		if n <= 0 || frameLen > uint64(len(s.data)) {
-			return fmt.Errorf("corrupt block frame at byte %d", off)
+// buildIndex reads the block headers — from the trailing index (version
+// 2) or from each block frame (version 1) — without inflating anything.
+// Segments are immutable once renamed into place, so unlike the hot
+// store's live tail any structural damage here is fatal for the whole
+// segment.
+func (s *Segment) buildIndex(off int, version byte) error {
+	var ix indexWalk
+	if version == 1 {
+		for off < len(s.data) {
+			frameLen, n := binary.Uvarint(s.data[off:])
+			if n <= 0 || frameLen > uint64(len(s.data)) {
+				return fmt.Errorf("corrupt block frame at byte %d", off)
+			}
+			body := off + n
+			if body+int(frameLen) > len(s.data) {
+				return fmt.Errorf("block frame at byte %d runs past the end", off)
+			}
+			frame := s.data[body : body+int(frameLen)]
+			first := len(s.pieces)
+			hn, err := s.addEntries(&ix, frame, version)
+			if err != nil {
+				return fmt.Errorf("block at byte %d: %w", off, err)
+			}
+			if err := s.addBlock(first, body+hn, int(frameLen)-hn); err != nil {
+				return fmt.Errorf("block at byte %d: %w", off, err)
+			}
+			off = body + int(frameLen)
 		}
-		body := off + n
-		if body+int(frameLen) > len(s.data) {
-			return fmt.Errorf("block frame at byte %d runs past the end", off)
+	} else {
+		if len(s.data)-off < 4 {
+			return errors.New("segment index missing")
 		}
-		frame := s.data[body : body+int(frameLen)]
+		ixLen := int(binary.LittleEndian.Uint32(s.data[len(s.data)-4:]))
+		end := len(s.data) - 4 - ixLen
+		if ixLen > len(s.data)-4-off {
+			return fmt.Errorf("segment index of %d bytes does not fit", ixLen)
+		}
+		index := s.data[end : len(s.data)-4]
+		for pos := 0; pos < len(index); {
+			first := len(s.pieces)
+			hn, err := s.addEntries(&ix, index[pos:], version)
+			if err != nil {
+				return fmt.Errorf("index block %d: %w", len(s.blks), err)
+			}
+			pos += hn
+			compLen, n := binary.Uvarint(index[pos:])
+			if n <= 0 || compLen > uint64(end-off) {
+				return fmt.Errorf("index block %d: corrupt stream length", len(s.blks))
+			}
+			pos += n
+			if err := s.addBlock(first, off, int(compLen)); err != nil {
+				return fmt.Errorf("index block %d: %w", len(s.blks), err)
+			}
+			off += int(compLen)
+		}
+		if off != end {
+			return fmt.Errorf("blocks end at byte %d, index starts at %d", off, end)
+		}
+	}
+	if ix.owed != 0 {
+		return fmt.Errorf("last split epoch lacks %d pieces", ix.owed)
+	}
+	return nil
+}
 
-		epochs, hn := binary.Uvarint(frame)
-		if hn <= 0 || epochs == 0 || epochs > 1<<20 {
-			return fmt.Errorf("corrupt epoch count in block at byte %d", off)
+// indexWalk is the state buildIndex carries across blocks.
+type indexWalk struct {
+	lastNanos int64
+	owed      int // continuation pieces the current split epoch still owes
+}
+
+// addEntries parses one block's entry count and entry headers from b,
+// appending the pieces and epochs they describe, and returns how many
+// bytes it consumed.
+func (s *Segment) addEntries(ix *indexWalk, b []byte, version byte) (int, error) {
+	entries, pos := binary.Uvarint(b)
+	if pos <= 0 || entries == 0 || entries > 1<<20 {
+		return 0, errors.New("corrupt entry count")
+	}
+	next := func() (uint64, bool) {
+		x, n := binary.Uvarint(b[pos:])
+		pos += max(n, 0)
+		return x, n > 0
+	}
+	for e := uint64(0); e < entries; e++ {
+		var h entryHeader
+		if !h.read(next, version) {
+			return 0, fmt.Errorf("corrupt header %d", e)
 		}
-		pos := hn
-		blk := segBlock{first: len(s.metas), epochs: int(epochs)}
-		var rawOff int
-		hdrs := make([]segEpochMeta, 0, epochs)
-		for i := uint64(0); i < epochs; i++ {
-			var vals [7]uint64
-			for v := range vals {
-				x, vn := binary.Uvarint(frame[pos:])
-				if vn <= 0 {
-					return fmt.Errorf("corrupt epoch header %d in block at byte %d", i, off)
-				}
-				vals[v] = x
-				pos += vn
+		if err := h.check(); err != nil {
+			return 0, fmt.Errorf("header %d: %w", e, err)
+		}
+		p := segPiece{
+			block:     len(s.blks),
+			count:     int(h.count),
+			keysLen:   int(h.keysLen),
+			countsLen: int(h.countsLen),
+			w1:        h.w1,
+			w2:        h.w2,
+			keyed:     h.flag != entryWhole,
+		}
+		if h.flag == entryCont {
+			if ix.owed == 0 {
+				return 0, fmt.Errorf("header %d: continuation piece without a head", e)
 			}
-			if vals[1] > 1<<28 || vals[2] > 1<<31 || vals[3] > 1<<31 || vals[4] > 1<<28 {
-				return fmt.Errorf("implausible epoch header %d in block at byte %d", i, off)
+			ix.owed--
+			prev := s.pieces[len(s.pieces)-1]
+			if p.w1 < prev.w1 || (p.w1 == prev.w1 && p.w2 < prev.w2) {
+				return 0, fmt.Errorf("header %d: piece first keys out of order", e)
 			}
-			lastNanos += int64(vals[0])
-			hdrs = append(hdrs, segEpochMeta{
-				nanos:        lastNanos,
-				count:        int(vals[1]),
-				keysLen:      int(vals[2]),
-				countsLen:    int(vals[3]),
-				block:        len(s.blks),
-				span:         int(vals[4]),
-				totalRecords: vals[5],
-				totalPackets: vals[6],
+			m := &s.metas[len(s.metas)-1]
+			m.count += p.count
+			m.npieces++
+			if m.count > 1<<28 {
+				return 0, fmt.Errorf("header %d: implausible epoch record count", e)
+			}
+		} else {
+			if ix.owed != 0 {
+				return 0, fmt.Errorf("header %d: split epoch before it lacks %d pieces", e, ix.owed)
+			}
+			ix.owed = int(h.pieces) - 1
+			ix.lastNanos += int64(h.nanosDelta)
+			s.metas = append(s.metas, segEpochMeta{
+				nanos:        ix.lastNanos,
+				count:        p.count,
+				span:         int(h.span),
+				totalRecords: h.totalRecords,
+				totalPackets: h.totalPackets,
+				pieces:       len(s.pieces),
+				npieces:      1,
 			})
-			rawOff += int(vals[2]) + int(vals[3])
 		}
-		// Columnar layout: all key streams first, then all count streams.
-		var keysOff, countsOff int
-		for i := range hdrs {
-			keysOff += hdrs[i].keysLen
+		s.pieces = append(s.pieces, p)
+	}
+	return pos, nil
+}
+
+// addBlock lays out the raw offsets of the pieces added since first —
+// columnar: all key streams, then all count streams — and records their
+// block's compressed stream.
+func (s *Segment) addBlock(first, compOff, compLen int) error {
+	if compLen < 0 {
+		return errors.New("headers overrun the frame")
+	}
+	blk := s.pieces[first:]
+	var rawLen int
+	for i := range blk {
+		blk[i].keysOff = rawLen
+		rawLen += blk[i].keysLen
+	}
+	for i := range blk {
+		blk[i].countsOff = rawLen
+		rawLen += blk[i].countsLen
+	}
+	// DEFLATE expands each compressed byte to at most ~1032 raw bytes
+	// (a 258-byte match costs no less than two bits), so headers
+	// declaring more raw data than the stream could possibly inflate
+	// are corruption. Rejecting here keeps blockRaw from allocating a
+	// multi-gigabyte buffer on the say-so of a tiny hostile file.
+	const maxInflateRatio = 1032
+	if rawLen > compLen*maxInflateRatio+64 {
+		return fmt.Errorf("declares %d raw bytes from a %d-byte stream", rawLen, compLen)
+	}
+	s.blks = append(s.blks, segBlock{compOff: compOff, compLen: compLen, rawLen: rawLen})
+	return nil
+}
+
+// entryHeader is one parsed block entry header, either version.
+type entryHeader struct {
+	flag                       uint64
+	nanosDelta, span           uint64
+	totalRecords, totalPackets uint64
+	pieces                     uint64 // head pieces: how many the epoch has
+	count, keysLen, countsLen  uint64
+	w1, w2                     uint64
+}
+
+// read parses the header fields through next, reporting false on a
+// malformed varint.
+func (h *entryHeader) read(next func() (uint64, bool), version byte) bool {
+	ok := true
+	fields := func(dsts ...*uint64) {
+		for _, d := range dsts {
+			if ok {
+				*d, ok = next()
+			}
 		}
-		countsOff = keysOff
-		keysOff = 0
-		for i := range hdrs {
-			hdrs[i].keysOff = keysOff
-			keysOff += hdrs[i].keysLen
-			hdrs[i].countsOff = countsOff
-			countsOff += hdrs[i].countsLen
-		}
-		blk.rawLen = rawOff
-		blk.compOff = body + pos
-		blk.compLen = int(frameLen) - pos
-		if blk.compLen < 0 {
-			return fmt.Errorf("corrupt block at byte %d: headers overrun frame", off)
-		}
-		// DEFLATE expands each compressed byte to at most ~1032 raw bytes
-		// (a 258-byte match costs no less than two bits), so headers
-		// declaring more raw data than the stream could possibly inflate
-		// are corruption. Rejecting here keeps blockRaw from allocating a
-		// multi-gigabyte buffer on the say-so of a tiny hostile file.
-		const maxInflateRatio = 1032
-		if blk.rawLen > blk.compLen*maxInflateRatio+64 {
-			return fmt.Errorf("block at byte %d declares %d raw bytes from a %d-byte stream", off, blk.rawLen, blk.compLen)
-		}
-		s.metas = append(s.metas, hdrs...)
-		s.blks = append(s.blks, blk)
-		off = body + int(frameLen)
+	}
+	if version == 1 {
+		h.pieces = 1
+		fields(&h.nanosDelta, &h.count, &h.keysLen, &h.countsLen, &h.span, &h.totalRecords, &h.totalPackets)
+		return ok
+	}
+	fields(&h.flag)
+	switch h.flag {
+	case entryWhole:
+		h.pieces = 1
+		fields(&h.nanosDelta, &h.span, &h.totalRecords, &h.totalPackets)
+	case entryHead:
+		fields(&h.nanosDelta, &h.span, &h.totalRecords, &h.totalPackets, &h.pieces)
+	}
+	fields(&h.count, &h.keysLen, &h.countsLen)
+	if h.flag != entryWhole {
+		fields(&h.w1, &h.w2)
+	}
+	return ok
+}
+
+// check rejects header values no segment writer produces. The record
+// count is bounded by the stream bytes — every record costs at least two
+// key bytes and one count byte — so a tiny file cannot declare a huge
+// epoch and make a reader reserve memory for it.
+func (h *entryHeader) check() error {
+	switch {
+	case h.flag > entryCont:
+		return fmt.Errorf("unknown entry flag %d", h.flag)
+	case h.count > 1<<28 || h.keysLen > 1<<31 || h.countsLen > 1<<31 || h.span > 1<<28:
+		return errors.New("implausible header")
+	case h.count > h.keysLen/2 || h.count > h.countsLen:
+		return fmt.Errorf("record count %d does not fit %d key and %d count bytes", h.count, h.keysLen, h.countsLen)
+	case h.flag != entryWhole && (h.count == 0 || h.w2>>40 != 0):
+		return errors.New("corrupt piece header")
+	case h.flag == entryHead && (h.pieces == 0 || h.pieces > 1<<20):
+		return fmt.Errorf("implausible piece count %d", h.pieces)
 	}
 	return nil
 }
@@ -511,56 +820,100 @@ func (s *Segment) LastNanos() int64 {
 // records are exactly the ones the hot-tier decoder yields for the same
 // epoch (cold segments) or the rollup's retained top-k (rollup segments).
 func (s *Segment) AppendEpochAt(i int, dst []flow.Record) (Epoch, error) {
+	return s.AppendEpochMatching(i, Filter{}, dst)
+}
+
+// AppendEpochMatching decodes the records of epoch i that match f,
+// appended to dst in key order. Pieces whose key range cannot hold a
+// match of f's source address are not inflated at all; the rest are
+// filtered on the packed key words before any record is built.
+func (s *Segment) AppendEpochMatching(i int, f Filter, dst []flow.Record) (Epoch, error) {
 	if i < 0 || i >= len(s.metas) {
 		return Epoch{}, fmt.Errorf("recordstore: segment epoch %d out of range [0,%d)", i, len(s.metas))
 	}
 	meta := s.metas[i]
+	all := f == Filter{}
+	if all {
+		dst = slices.Grow(dst, meta.count)
+	}
+	ep := Epoch{Time: time.Unix(0, meta.nanos).UTC(), Records: dst}
+	lo, hi := f.keyRange()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw, err := s.blockRaw(meta.block)
-	if err != nil {
-		return Epoch{}, err
+	pieces := s.pieces[meta.pieces : meta.pieces+meta.npieces]
+	for j, p := range pieces {
+		// Records are key-sorted and pieces cut in key order, so piece j
+		// holds keys in [first_j, first_j+1] — inclusive at the top,
+		// because equal keys may straddle a cut.
+		if p.keyed && p.w1 > hi {
+			break
+		}
+		if p.keyed && j+1 < len(pieces) && pieces[j+1].w1 < lo {
+			continue
+		}
+		raw, err := s.blockRaw(p.block)
+		if err != nil {
+			return Epoch{}, err
+		}
+		if p.keysOff+p.keysLen > len(raw) || p.countsOff+p.countsLen > len(raw) {
+			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: streams overrun block", i)
+		}
+		keys := raw[p.keysOff : p.keysOff+p.keysLen]
+		counts := raw[p.countsOff : p.countsOff+p.countsLen]
+		if p.keyed {
+			// A piece restarts the delta coding, so its first two key
+			// varints are its first key verbatim.
+			w1, n1 := binary.Uvarint(keys)
+			w2, n2 := binary.Uvarint(keys[max(n1, 0):])
+			if n1 <= 0 || n2 <= 0 || w1 != p.w1 || w2 != p.w2 {
+				return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: piece %d first key differs from its header", i, j)
+			}
+		}
+		ep.Records, err = decodeColumnar(keys, counts, p.count, f, all, ep.Records)
+		if err != nil {
+			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: %w", i, err)
+		}
 	}
-	if meta.keysOff+meta.keysLen > len(raw) || meta.countsOff+meta.countsLen > len(raw) {
-		return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: streams overrun block", i)
-	}
-	keys := raw[meta.keysOff : meta.keysOff+meta.keysLen]
-	counts := raw[meta.countsOff : meta.countsOff+meta.countsLen]
+	return ep, nil
+}
 
-	dst = slices.Grow(dst, meta.count)
-	ep := Epoch{Time: time.Unix(0, meta.nanos).UTC(), Records: dst}
+// decodeColumnar decodes n records from separate key and count streams,
+// appending those matching f (every one when all is set) to dst. Every
+// record is validated whether or not it matches.
+func decodeColumnar(keys, counts []byte, n int, f Filter, all bool, dst []flow.Record) ([]flow.Record, error) {
 	var prev1, prev2 uint64
-	for r := 0; r < meta.count; r++ {
+	for r := 0; r < n; r++ {
 		d1, n1 := binary.Uvarint(keys)
 		if n1 <= 0 {
-			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: corrupt key stream at record %d", i, r)
+			return nil, fmt.Errorf("corrupt key stream at record %d", r)
 		}
 		keys = keys[n1:]
 		x2, n2 := binary.Uvarint(keys)
 		if n2 <= 0 {
-			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: corrupt key stream at record %d", i, r)
+			return nil, fmt.Errorf("corrupt key stream at record %d", r)
 		}
 		keys = keys[n2:]
 		cnt, n3 := binary.Uvarint(counts)
-		if n3 <= 0 || cnt > 0xFFFFFFFF {
-			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: corrupt count stream at record %d", i, r)
+		if n3 <= 0 || cnt > math.MaxUint32 {
+			return nil, fmt.Errorf("corrupt count stream at record %d", r)
 		}
 		counts = counts[n3:]
 
 		w1 := prev1 + d1
 		w2 := prev2 ^ x2
-		key, err := keyFromWords(w1, w2)
-		if err != nil {
-			return Epoch{}, fmt.Errorf("recordstore: segment epoch %d record %d: %w", i, r, err)
+		if w2>>40 != 0 {
+			return nil, fmt.Errorf("record %d: invalid packed key word %#x", r, w2)
 		}
-		ep.Records = append(ep.Records, flow.Record{Key: key, Count: uint32(cnt)})
+		if all || f.matchWords(w1, w2, uint32(cnt)) {
+			dst = append(dst, flow.Record{Key: keyOfWords(w1, w2), Count: uint32(cnt)})
+		}
 		prev1, prev2 = w1, w2
 	}
 	if len(keys) != 0 || len(counts) != 0 {
-		return Epoch{}, fmt.Errorf("recordstore: segment epoch %d: %d trailing stream bytes", i, len(keys)+len(counts))
+		return nil, fmt.Errorf("%d trailing stream bytes", len(keys)+len(counts))
 	}
-	return ep, nil
+	return dst, nil
 }
 
 // Range mirrors Mapped.Range over the segment's epochs.
@@ -585,31 +938,43 @@ func (s *Segment) searchNanos(nanos int64) int {
 	return lo
 }
 
+// Inflates returns how many blocks the segment has inflated; reads
+// served from the one-block cache do not count.
+func (s *Segment) Inflates() uint64 { return s.inflates.Load() }
+
 // blockRaw returns block b inflated, serving repeats from the one-slot
 // cache. Caller holds s.mu.
 func (s *Segment) blockRaw(b int) ([]byte, error) {
 	if s.cachedIx == b {
-		return s.cached, nil
+		return s.cached.b, nil
 	}
 	blk := s.blks[b]
-	comp := s.data[blk.compOff : blk.compOff+blk.compLen]
-	if cap(s.cached) < blk.rawLen {
-		s.cached = make([]byte, blk.rawLen)
+	if s.cached == nil {
+		s.cached = rawBufs.Get().(*rawBuf)
 	}
-	buf := s.cached[:blk.rawLen]
+	if cap(s.cached.b) < blk.rawLen {
+		s.cached.b = make([]byte, blk.rawLen)
+	}
+	buf := s.cached.b[:blk.rawLen]
 	s.cachedIx = -1
-	fr := flate.NewReader(bytes.NewReader(comp))
-	if _, err := io.ReadFull(fr, buf); err != nil {
+	s.inflates.Add(1)
+
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	in.src.Reset(s.data[blk.compOff : blk.compOff+blk.compLen])
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, fmt.Errorf("recordstore: inflate block %d: %w", b, err)
+	}
+	if _, err := io.ReadFull(in.fr, buf); err != nil {
 		return nil, fmt.Errorf("recordstore: inflate block %d: %w", b, err)
 	}
 	// A stream with trailing garbage decodes the declared length fine; a
 	// short one already failed above. Confirm it ends where the headers
 	// said it would.
-	var tail [1]byte
-	if n, _ := fr.Read(tail[:]); n != 0 {
+	if n, _ := in.fr.Read(in.tail[:]); n != 0 {
 		return nil, fmt.Errorf("recordstore: inflate block %d: stream longer than declared", b)
 	}
-	s.cached = buf
+	s.cached.b = buf
 	s.cachedIx = b
 	return buf, nil
 }
@@ -617,14 +982,18 @@ func (s *Segment) blockRaw(b int) ([]byte, error) {
 // Size returns the segment's byte length.
 func (s *Segment) Size() int { return len(s.data) }
 
-// Close releases the mapping.
+// Close releases the mapping and returns the inflate buffer to the pool.
 func (s *Segment) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data = nil
 	s.metas = nil
+	s.pieces = nil
 	s.blks = nil
-	s.cached = nil
+	if s.cached != nil {
+		rawBufs.Put(s.cached)
+		s.cached = nil
+	}
 	s.cachedIx = -1
 	if s.unmap != nil {
 		u := s.unmap

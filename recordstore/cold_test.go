@@ -160,9 +160,31 @@ func TestColdCompressionRatio(t *testing.T) {
 	}
 }
 
+// splitSegmentImage encodes a small epoch, one cut into several pieces,
+// and another small one — the version 2 layout's shared and piece blocks
+// side by side.
+func splitSegmentImage(t testing.TB) ([]time.Time, [][]flow.Record, []byte) {
+	t.Helper()
+	times := []time.Time{time.Unix(2100, 0).UTC(), time.Unix(2101, 0).UTC(), time.Unix(2102, 0).UTC()}
+	epochs := [][]flow.Record{sortedEpoch(0, 40), sortedEpoch(1, 14000), sortedEpoch(2, 40)}
+	var buf bytes.Buffer
+	sw := NewSegmentWriter(&buf, SegmentCold)
+	sw.SetBlockEpochs(2)
+	for i := range epochs {
+		if err := sw.Add(SegmentEpoch{Time: times[i], Records: epochs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return times, epochs, buf.Bytes()
+}
+
 // TestColdTruncationEveryByte: a segment image cut at every byte offset
 // must never panic and never fabricate data — whatever prefix of epochs
-// still indexes and decodes must match the original exactly.
+// still indexes and decodes must match the original exactly. Checked on
+// shared blocks and on an epoch split into pieces.
 func TestColdTruncationEveryByte(t *testing.T) {
 	const n = 6
 	times := make([]time.Time, n)
@@ -172,22 +194,29 @@ func TestColdTruncationEveryByte(t *testing.T) {
 		epochs[e] = sortedEpoch(e, 40)
 	}
 	img := buildSegment(t, SegmentCold, 2, times, epochs)
+	splitTimes, splitEpochs, splitImg := splitSegmentImage(t)
 
-	for cut := 0; cut <= len(img); cut++ {
-		seg, err := OpenSegmentBytes(img[:cut])
-		if err != nil {
-			continue // rejected outright: fine
-		}
-		for e := 0; e < seg.Epochs(); e++ {
-			got, err := seg.AppendEpochAt(e, nil)
+	for _, c := range []struct {
+		times  []time.Time
+		epochs [][]flow.Record
+		img    []byte
+	}{{times, epochs, img}, {splitTimes, splitEpochs, splitImg}} {
+		for cut := 0; cut <= len(c.img); cut++ {
+			seg, err := OpenSegmentBytes(c.img[:cut])
 			if err != nil {
-				break
+				continue // rejected outright: fine
 			}
-			if !got.Time.Equal(times[e]) || !slices.Equal(got.Records, epochs[e]) {
-				t.Fatalf("cut=%d epoch %d decoded to different data", cut, e)
+			for e := 0; e < seg.Epochs(); e++ {
+				got, err := seg.AppendEpochAt(e, nil)
+				if err != nil {
+					break
+				}
+				if !got.Time.Equal(c.times[e]) || !slices.Equal(got.Records, c.epochs[e]) {
+					t.Fatalf("cut=%d epoch %d decoded to different data", cut, e)
+				}
 			}
+			seg.Close()
 		}
-		seg.Close()
 	}
 }
 
@@ -246,7 +275,13 @@ func FuzzColdDecode(f *testing.F) {
 	f.Add(img)
 	f.Add(img[:len(img)/2])
 	f.Add([]byte(segMagic + "\x01\x00"))
+	f.Add([]byte(segMagic + "\x02\x00"))
 	f.Add([]byte{})
+	_, _, split := splitSegmentImage(f)
+	f.Add(split)
+	for _, v := range []byte{1, segVersion} {
+		f.Add(hugeCountSegmentImage(f, v))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg, err := OpenSegmentBytes(data)
@@ -262,6 +297,20 @@ func FuzzColdDecode(f *testing.F) {
 			rec = ep.Records
 			if len(ep.Records) != seg.EpochLen(e) {
 				t.Fatalf("epoch %d decoded %d records, header says %d", e, len(ep.Records), seg.EpochLen(e))
+			}
+			if len(ep.Records) == 0 {
+				continue
+			}
+			// A filtered read of a decodable epoch may only skip pieces
+			// that hold no match.
+			f := Filter{SrcIP: ep.Records[len(ep.Records)/2].Key.SrcIP}
+			want := f.Apply(ep.Records)
+			got, err := seg.AppendEpochMatching(e, f, nil)
+			if err != nil {
+				t.Fatalf("epoch %d decodes whole but not filtered: %v", e, err)
+			}
+			if !slices.Equal(got.Records, want) {
+				t.Fatalf("epoch %d filtered read returned %d records, want %d", e, len(got.Records), len(want))
 			}
 		}
 		seg.Close()
@@ -497,7 +546,7 @@ func TestColdRejectsImplausibleRawLen(t *testing.T) {
 	frame = binary.AppendUvarint(frame, 1)     // totalPackets
 	frame = append(frame, 0xde, 0xad)          // 2-byte "compressed" stream
 
-	data := append([]byte(segMagic), segVersion, byte(SegmentCold))
+	data := append([]byte(segMagic), 1, byte(SegmentCold)) // version 1 header layout
 	data = binary.AppendUvarint(data, uint64(len(frame)))
 	data = append(data, frame...)
 

@@ -2,6 +2,7 @@ package recordstore
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -59,21 +60,43 @@ func (f Filter) String() string {
 
 // Match reports whether the record satisfies every set constraint.
 func (f Filter) Match(r flow.Record) bool {
+	w1, w2 := r.Key.Words()
+	return f.matchWords(w1, w2, r.Count)
+}
+
+// matchWords is the filter rule on a record's packed key words
+// (flow.Key.Words) and count. Decoders apply it before building a
+// record, and Match applies it to built ones, so the two cannot differ.
+func (f Filter) matchWords(w1, w2 uint64, count uint32) bool {
 	switch {
-	case f.SrcIP != 0 && r.Key.SrcIP != f.SrcIP:
+	case f.SrcIP != 0 && uint32(w1>>32) != f.SrcIP:
 		return false
-	case f.DstIP != 0 && r.Key.DstIP != f.DstIP:
+	case f.DstIP != 0 && uint32(w1) != f.DstIP:
 		return false
-	case f.SrcPort != 0 && r.Key.SrcPort != f.SrcPort:
+	case f.SrcPort != 0 && uint16(w2>>24) != f.SrcPort:
 		return false
-	case f.DstPort != 0 && r.Key.DstPort != f.DstPort:
+	case f.DstPort != 0 && uint16(w2>>8) != f.DstPort:
 		return false
-	case f.Proto != 0 && r.Key.Proto != f.Proto:
+	case f.Proto != 0 && uint8(w2) != f.Proto:
 		return false
-	case r.Count < f.MinPackets:
+	case count < f.MinPackets:
 		return false
 	}
 	return true
+}
+
+// keyRange bounds the first packed key word (source address, then
+// destination) of every record the filter can match: [0, MaxUint64]
+// unless a source address is set.
+func (f Filter) keyRange() (lo, hi uint64) {
+	if f.SrcIP == 0 {
+		return 0, math.MaxUint64
+	}
+	src := uint64(f.SrcIP) << 32
+	if f.DstIP != 0 {
+		return src | uint64(f.DstIP), src | uint64(f.DstIP)
+	}
+	return src, src | math.MaxUint32
 }
 
 // Apply returns the records matching the filter, preserving order.

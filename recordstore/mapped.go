@@ -120,8 +120,8 @@ func (m *Mapped) buildIndex(off int) error {
 		if cn <= 0 {
 			return fmt.Errorf("recordstore: epoch %d: corrupt record count", len(m.metas))
 		}
-		if count > 1<<28 {
-			return fmt.Errorf("recordstore: epoch %d: implausible record count %d", len(m.metas), count)
+		if err := checkRecordCount(count, len(frame)-hn-cn); err != nil {
+			return fmt.Errorf("recordstore: epoch %d: %w", len(m.metas), err)
 		}
 		m.metas = append(m.metas, epochMeta{
 			off:   body,
@@ -164,11 +164,18 @@ func (m *Mapped) EpochAt(i int) (Epoch, error) {
 // so a reused dst makes the call allocation-free once grown. Safe for
 // concurrent use with distinct dst buffers.
 func (m *Mapped) AppendEpochAt(i int, dst []flow.Record) (Epoch, error) {
+	return m.AppendEpochMatching(i, Filter{}, dst)
+}
+
+// AppendEpochMatching decodes the records of epoch i that match f,
+// appended to dst. Every record is decoded and validated, but only
+// matching ones are built into dst.
+func (m *Mapped) AppendEpochMatching(i int, f Filter, dst []flow.Record) (Epoch, error) {
 	if i < 0 || i >= len(m.metas) {
 		return Epoch{}, fmt.Errorf("recordstore: epoch %d out of range [0,%d)", i, len(m.metas))
 	}
 	meta := m.metas[i]
-	return decodeEpochBody(m.data[meta.off:meta.off+meta.size], dst)
+	return decodeEpochBody(m.data[meta.off:meta.off+meta.size], f, dst)
 }
 
 // Range returns the half-open index interval [lo, hi) of epochs whose

@@ -289,6 +289,7 @@ func FuzzMapped(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte("FREC\x01"))
 	f.Add([]byte{})
+	f.Add(hugeCountHotImage())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := NewMappedBytes(data)
 		if err != nil {

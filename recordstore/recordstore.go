@@ -201,15 +201,16 @@ func (r *Reader) ReadEpochAppend(dst []flow.Record) (Epoch, error) {
 		return Epoch{}, fmt.Errorf("recordstore: read epoch body: %w", err)
 	}
 
-	return decodeEpochBody(r.buf, dst)
+	return decodeEpochBody(r.buf, Filter{}, dst)
 }
 
 // decodeEpochBody decodes one epoch frame body (timestamp, count, delta
-// stream) appending its records to dst. It is the single decoder behind
-// both the streaming Reader and the mapped store, so the two read paths
-// are identical by construction. On error dst is discarded and a zero
-// Epoch is returned.
-func decodeEpochBody(body []byte, dst []flow.Record) (Epoch, error) {
+// stream) appending the records matching f to dst. It is the single
+// decoder behind both the streaming Reader and the mapped store, so the
+// two read paths are identical by construction. Every record is
+// validated whether or not it matches. On error dst is discarded and a
+// zero Epoch is returned.
+func decodeEpochBody(body []byte, f Filter, dst []flow.Record) (Epoch, error) {
 	nanos, n := binary.Uvarint(body)
 	if n <= 0 {
 		return Epoch{}, errors.New("recordstore: corrupt epoch timestamp")
@@ -220,11 +221,14 @@ func decodeEpochBody(body []byte, dst []flow.Record) (Epoch, error) {
 		return Epoch{}, errors.New("recordstore: corrupt record count")
 	}
 	body = body[n:]
-	if count > 1<<28 {
-		return Epoch{}, fmt.Errorf("recordstore: implausible record count %d", count)
+	if err := checkRecordCount(count, len(body)); err != nil {
+		return Epoch{}, err
 	}
 
-	dst = slices.Grow(dst, int(count))
+	all := f == Filter{}
+	if all {
+		dst = slices.Grow(dst, int(count))
+	}
 	ep := Epoch{
 		Time:    time.Unix(0, int64(nanos)).UTC(),
 		Records: dst,
@@ -249,17 +253,29 @@ func decodeEpochBody(body []byte, dst []flow.Record) (Epoch, error) {
 
 		w1 := prev1 + d1
 		w2 := prev2 ^ x2
-		key, err := keyFromWords(w1, w2)
-		if err != nil {
-			return Epoch{}, fmt.Errorf("recordstore: record %d: %w", i, err)
+		if w2>>40 != 0 {
+			return Epoch{}, fmt.Errorf("recordstore: record %d: invalid packed key word %#x", i, w2)
 		}
-		ep.Records = append(ep.Records, flow.Record{Key: key, Count: uint32(cnt)})
+		if all || f.matchWords(w1, w2, uint32(cnt)) {
+			ep.Records = append(ep.Records, flow.Record{Key: keyOfWords(w1, w2), Count: uint32(cnt)})
+		}
 		prev1, prev2 = w1, w2
 	}
 	if len(body) != 0 {
 		return Epoch{}, fmt.Errorf("recordstore: %d trailing bytes in epoch", len(body))
 	}
 	return ep, nil
+}
+
+// checkRecordCount rejects a hot epoch header whose record count its
+// record bytes could never encode: every record costs at least three
+// bytes (two key varints and a count varint). Checked before any
+// buffer is sized from the count.
+func checkRecordCount(count uint64, recordBytes int) error {
+	if count > 1<<28 || count > uint64(recordBytes)/3 {
+		return fmt.Errorf("recordstore: implausible record count %d for %d record bytes", count, recordBytes)
+	}
+	return nil
 }
 
 // ReadAll drains every remaining epoch.
@@ -277,17 +293,15 @@ func (r *Reader) ReadAll() ([]Epoch, error) {
 	}
 }
 
-// keyFromWords inverts flow.Key.Words. The packing leaves bits 40..63 of
-// the second word unused; non-zero garbage there signals corruption.
-func keyFromWords(w1, w2 uint64) (flow.Key, error) {
-	if w2>>40 != 0 {
-		return flow.Key{}, fmt.Errorf("invalid packed key word %#x", w2)
-	}
+// keyOfWords inverts flow.Key.Words. The packing leaves bits 40..63 of
+// the second word unused; decoders reject non-zero bits there as
+// corruption before calling it.
+func keyOfWords(w1, w2 uint64) flow.Key {
 	return flow.Key{
 		SrcIP:   uint32(w1 >> 32),
 		DstIP:   uint32(w1),
 		SrcPort: uint16(w2 >> 24),
 		DstPort: uint16(w2 >> 8),
 		Proto:   uint8(w2),
-	}, nil
+	}
 }

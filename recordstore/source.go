@@ -21,7 +21,8 @@ import (
 // physically holds them. *Mapped and the tiered reader implement it.
 //
 // Implementations must be safe for concurrent readers as long as each
-// call site passes its own dst buffer to AppendEpochAt.
+// call site passes its own dst buffer to AppendEpochAt or
+// AppendEpochMatching.
 type EpochSource interface {
 	// Epochs returns how many epochs the source serves.
 	Epochs() int
@@ -30,8 +31,14 @@ type EpochSource interface {
 	EpochTime(i int) time.Time
 	// EpochLen returns epoch i's record count without decoding records.
 	EpochLen(i int) int
-	// AppendEpochAt decodes epoch i with its records appended to dst.
+	// AppendEpochAt decodes epoch i with its records appended to dst;
+	// it is AppendEpochMatching with the zero Filter.
 	AppendEpochAt(i int, dst []flow.Record) (Epoch, error)
+	// AppendEpochMatching decodes only the records of epoch i that match
+	// f, appended to dst in stored (key) order: the same records as
+	// f.Apply over AppendEpochAt, without building the rest. Cold tiers
+	// skip inflating pieces whose key range cannot match.
+	AppendEpochMatching(i int, f Filter, dst []flow.Record) (Epoch, error)
 	// Range returns the half-open index interval [lo, hi) of epochs whose
 	// timestamp t satisfies t0 <= t < t1 (zero t1 = unbounded), found by
 	// binary search over per-epoch metadata — never by decoding.

@@ -767,7 +767,7 @@ type TieredSource struct {
 	hot     *Mapped
 	entries []tieredEntry
 
-	// hotDecodes counts AppendEpochAt calls served by the hot tier —
+	// hotDecodes counts epoch decodes served by the hot tier —
 	// the observable proving cold-range queries never touch hot-resident
 	// epochs.
 	hotDecodes atomic.Uint64
@@ -886,15 +886,21 @@ func (s *TieredSource) EpochLen(i int) int {
 
 // AppendEpochAt decodes epoch i from whichever tier holds it.
 func (s *TieredSource) AppendEpochAt(i int, dst []flow.Record) (Epoch, error) {
+	return s.AppendEpochMatching(i, Filter{}, dst)
+}
+
+// AppendEpochMatching decodes the records of epoch i matching f from
+// whichever tier holds it.
+func (s *TieredSource) AppendEpochMatching(i int, f Filter, dst []flow.Record) (Epoch, error) {
 	if i < 0 || i >= len(s.entries) {
 		return Epoch{}, fmt.Errorf("recordstore: epoch %d out of range [0,%d)", i, len(s.entries))
 	}
 	e := s.entries[i]
 	if e.seg < 0 {
 		s.hotDecodes.Add(1)
-		return s.hot.AppendEpochAt(e.local, dst)
+		return s.hot.AppendEpochMatching(e.local, f, dst)
 	}
-	return s.segs[e.seg].AppendEpochAt(e.local, dst)
+	return s.segs[e.seg].AppendEpochMatching(e.local, f, dst)
 }
 
 // EpochInfo implements InfoSource with the holding tier's metadata.
@@ -938,6 +944,16 @@ func (s *TieredSource) Truncated() bool {
 // zero after a purely-cold time-range query, which is how tests pin
 // "long-range queries don't scan the hot tier".
 func (s *TieredSource) HotDecodes() uint64 { return s.hotDecodes.Load() }
+
+// Inflates returns how many compression blocks the cold and rollup
+// segments have inflated — the cost a filtered cold read prunes.
+func (s *TieredSource) Inflates() uint64 {
+	var n uint64
+	for _, seg := range s.segs {
+		n += seg.Inflates()
+	}
+	return n
+}
 
 // Segments returns how many segments back the source.
 func (s *TieredSource) Segments() int { return len(s.segs) }
